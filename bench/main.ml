@@ -513,7 +513,7 @@ let print_e7 () =
     [ 30; 100; 300; 1000 ]
 
 (* ------------------------------------------------------------------ *)
-(* E6-scaling: domain-pool parallelism (harvest + Fig. 8/9/11 mix)     *)
+(* E6-scaling: domain-pool parallelism (Fig. 8/9/11 mix)               *)
 (* ------------------------------------------------------------------ *)
 
 let scaling_jobs = [ 1; 2; 4; 8 ]
@@ -521,7 +521,7 @@ let scaling_jobs = [ 1; 2; 4; 8 ]
 let print_e6_scaling () =
   print_newline ();
   Printf.printf
-    "E6-scaling: harvest + Fig. 8/9/11 mix across domain counts (scale=%d, host cores=%d)\n"
+    "E6-scaling: Fig. 8/9/11 mix across domain counts (scale=%d, host cores=%d)\n"
     scale
     (Domain.recommended_domain_count ());
   warn_if_single_core "E6-scaling";
@@ -534,16 +534,6 @@ let print_e6_scaling () =
   List.iter (fun j -> Printf.printf " %10s" (Printf.sprintf "j=%d (ms)" j)) scaling_jobs;
   Printf.printf " %10s %7s\n" "speedup@4" "eff@4";
   Printf.printf "%s\n" (String.make (22 + 11 * List.length scaling_jobs + 19) '-');
-  let harvest_once () =
-    let wh = Datahounds.Warehouse.create () in
-    Datahounds.Warehouse.register_source wh Datahounds.Warehouse.enzyme_source;
-    (match
-       Datahounds.Warehouse.harvest wh Datahounds.Warehouse.enzyme_source enzyme_flat
-     with
-     | Ok _ -> ()
-     | Error m -> failwith m);
-    Datahounds.Warehouse.close wh
-  in
   let row name f =
     let times =
       List.map
@@ -559,14 +549,12 @@ let print_e6_scaling () =
      | None -> print_newline ());
     (name, times)
   in
-  let harvest_row = row "harvest/enzyme-flat" harvest_once in
-  let query_rows =
+  let rows =
     List.map
       (fun (name, ast) ->
         row name (fun () -> ignore (Xomatiq.Engine.run warehouse ast)))
       asts
   in
-  let rows = harvest_row :: query_rows in
   (* machine-readable trajectory for future PRs to diff against *)
   let json_times times fmt =
     "{"
@@ -1905,7 +1893,7 @@ let () =
     print_e5 ();
     print_e5_analyze ();
     print_e5_cache ();
-    (* exercise the parallel scan/join/harvest paths even at smoke scale *)
+    (* exercise the parallel scan/join paths even at smoke scale *)
     print_e6_scaling ();
     print_e7_structural ();
     print_e8_throughput ();

@@ -93,9 +93,10 @@ let file_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallel query execution and parallel loading \
-     (default: $(b,XOMATIQ_JOBS), else the machine's core count). \
-     1 forces the sequential paths."
+    "Worker domains for parallel query execution (default: \
+     $(b,XOMATIQ_JOBS), else the machine's core count). 1 forces \
+     sequential execution. Harvests and syncs load on one domain \
+     whatever the setting."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -120,9 +120,6 @@ let rec await t fut =
        Mutex.unlock fut.f_lock;
        await t fut)
 
-let poll fut =
-  match fut.f_state with Pending -> false | Done _ | Failed _ -> true
-
 (* Idle worker domains: the fan-out headroom a new Exchange would
    actually get. Queued-but-unstarted tasks count against it — they will
    claim a worker before any partition submitted after them. Advisory
@@ -134,19 +131,6 @@ let available t =
   Mutex.unlock t.lock;
   max 0 n
 
-(* Server sessions park here instead of [await]: a session thread must
-   keep watching its socket (deadlines, CANCEL frames) and must not pick
-   up arbitrary queued query work, so it waits on the future's condition
-   variable without helping. *)
-let await_blocking fut =
-  Mutex.lock fut.f_lock;
-  while fut.f_state = Pending do Condition.wait fut.f_cond fut.f_lock done;
-  Mutex.unlock fut.f_lock;
-  match fut.f_state with
-  | Done v -> v
-  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
-
 let parallel_map t f xs =
   if t.total <= 1 then List.map f xs
   else begin
@@ -154,16 +138,6 @@ let parallel_map t f xs =
     (* award in input order so the first failure (by input position) is
        the one re-raised — matching what sequential evaluation reports *)
     List.map (await t) futs
-  end
-
-let parallel_chunks t ~n f =
-  if n <= 0 then []
-  else begin
-    let parts = min (max 1 t.total) n in
-    let bounds =
-      List.init parts (fun i -> (i * n / parts, (i + 1) * n / parts))
-    in
-    parallel_map t (fun (lo, hi) -> f lo hi) bounds
   end
 
 (* ---------------- the process-global pool ---------------- *)

@@ -2,11 +2,11 @@
     futures.
 
     The pool is the single concurrency primitive of the engine: the
-    executor's [Exchange] operator and the Data Hounds parallel harvest
-    both fan work out through it. A pool of size [n] runs at most [n]
-    tasks at once: [n - 1] resident worker domains plus the caller,
-    which "helps" by running queued tasks while it waits on a future —
-    so nested [parallel_map] calls from inside a task cannot deadlock.
+    executor's [Exchange] operator fans work out through it. A pool of
+    size [n] runs at most [n] tasks at once: [n - 1] resident worker
+    domains plus the caller, which "helps" by running queued tasks
+    while it waits on a future — so nested [parallel_map] calls from
+    inside a task cannot deadlock.
 
     The [jobs] setting (CLI [--jobs N] / [XOMATIQ_JOBS]) governs a
     process-global pool, created lazily and resized on demand. Parallel
@@ -38,35 +38,16 @@ val await : t -> 'a future -> 'a
     waiting. Re-raises the task's exception (with its backtrace) if it
     failed. *)
 
-val poll : 'a future -> bool
-(** True once the future is resolved (with a value or an exception);
-    never blocks. The query server's session loop polls between socket
-    [select]s so it can watch for CANCEL frames and deadlines while its
-    query runs on the pool. *)
-
 val available : t -> int
 (** Idle worker domains right now: workers neither executing a task nor
     already promised to one sitting in the queue. Advisory — no
     reservation is taken — and the basis of the scheduler's "workers
     only when the pool is idle" grant ({!Sched.exchange_parallel}). *)
 
-val await_blocking : 'a future -> 'a
-(** Like {!await} but without helping: waits on the future's condition
-    variable only. For callers that must stay responsive to their own
-    events (server session threads) rather than pick up queued work —
-    note that a pool of size 1 resolves futures inline at {!submit}
-    time, so this never deadlocks there. *)
-
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Apply [f] to every element across the pool; results are returned in
     input order. The first exception (by input order) is re-raised.
     Sequential [List.map] when the pool size is 1. *)
-
-val parallel_chunks : t -> n:int -> (int -> int -> 'a) -> 'a list
-(** Split the range [\[0, n)] into at most [size t] contiguous chunks
-    and evaluate [f lo hi] for each across the pool; results come back
-    in range order. The chunking is deterministic for a given [n] and
-    pool size. *)
 
 (** {2 The process-global pool} *)
 

@@ -15,64 +15,12 @@
    - an *idle gate* at run time: an Exchange fan-out goes parallel only
      when at least one pool worker is actually idle, and degrades to
      sequential in-thread execution otherwise (results are byte-identical
-     either way — only the iteration schedule changes).
+     either way — only the iteration schedule changes). *)
 
-   [XOMATIQ_SCHED=static] restores the unconditional grant, for
-   comparison benchmarks and as an escape hatch. The mode is part of the
-   engine's plan-cache key. *)
-
-type mode = Static | Adaptive
-
-(* Tests flip modes mid-process; the environment is read once. *)
-let override : mode option ref = ref None
-
-let env_mode =
-  lazy
-    (match Sys.getenv_opt "XOMATIQ_SCHED" with
-     | Some s ->
-       (match String.lowercase_ascii (String.trim s) with
-        | "static" | "0" | "off" -> Static
-        | _ -> Adaptive)
-     | None -> Adaptive)
-
-let mode () =
-  match !override with Some m -> m | None -> Lazy.force env_mode
-
-let set_mode m = override := Some m
-let clear_mode () = override := None
-
-let with_mode m f =
-  let saved = !override in
-  override := Some m;
-  Fun.protect ~finally:(fun () -> override := saved) f
-
-let mode_tag () = match mode () with Static -> "static" | Adaptive -> "adaptive"
-
-(* Cost is in the planner's unit ("rows touched"). The default threshold
-   is roughly where Exchange partition setup plus a pool round-trip stops
+(* Cost is in the planner's unit ("rows touched"). The threshold is
+   roughly where Exchange partition setup plus a pool round-trip stops
    dominating: a full scan of a few tens of thousands of rows. *)
-let default_cost_threshold = 50_000.
-
-let threshold_override : float option ref = ref None
-
-let env_threshold =
-  lazy
-    (match Sys.getenv_opt "XOMATIQ_SCHED_COST" with
-     | Some s ->
-       (match float_of_string_opt (String.trim s) with
-        | Some v when v >= 0. -> v
-        | _ -> default_cost_threshold)
-     | None -> default_cost_threshold)
-
-let cost_threshold () =
-  match !threshold_override with
-  | Some v -> v
-  | None -> Lazy.force env_threshold
-
-let with_cost_threshold v f =
-  let saved = !threshold_override in
-  threshold_override := Some v;
-  Fun.protect ~finally:(fun () -> threshold_override := saved) f
+let cost_threshold = 50_000.
 
 (* ------------------------------------------------------------------ *)
 (* Decisions                                                           *)
@@ -92,22 +40,13 @@ let decision_string d =
    degrade each fan-out when every worker is occupied. *)
 let plan_decision ~est_cost =
   let jobs = Pool.jobs () in
-  match mode () with
-  | Static ->
-    if jobs > 1 then { par = true; workers = jobs; reason = "forced" }
-    else seq "forced"
-  | Adaptive ->
-    if est_cost < cost_threshold () then seq "cost"
-    else if jobs > 1 then { par = true; workers = jobs; reason = "pool-idle" }
-    else seq "forced"
+  if est_cost < cost_threshold then seq "cost"
+  else if jobs > 1 then { par = true; workers = jobs; reason = "pool-idle" }
+  else seq "forced"
 
 (* Run-time grant for one Exchange fan-out. [available] counts idle
    workers only: when zero, the partitions would just queue behind other
    queries' work (or behind each other), so running them in the calling
    thread is strictly cheaper. *)
 let exchange_parallel pool ~workers =
-  workers > 1
-  && Pool.size pool > 1
-  && (match mode () with
-      | Static -> true
-      | Adaptive -> Pool.available pool > 0)
+  workers > 1 && Pool.size pool > 1 && Pool.available pool > 0

@@ -114,11 +114,12 @@ let document_id db ~collection ~name =
   | Error m -> failwith m
 
 (* Shredding is split into a pure [prepare] phase (tree walk, node and
-   keyword row construction — no database access, so it can run on any
-   domain) and a sequential [install_prepared] phase (id allocation and
-   the transactional insert). [shred] is their composition, so the
-   parallel loader and the sequential one share the installation code
-   path and produce byte-identical tables.
+   keyword row construction — no database access) and an
+   [install_prepared] phase (id allocation and the transactional
+   insert). [shred] is their composition; a harvest prepares its whole
+   batch first, then installs it one document at a time or, on disk,
+   through [install_prepared_bulk], and every route produces
+   byte-identical tables.
 
    The doc_id and path_id columns depend on database state, so prepared
    rows carry Null placeholders (slots 0 and 6 of xml_node, slot 0 of

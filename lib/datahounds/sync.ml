@@ -93,14 +93,7 @@ let sync_documents ?(remove_missing = false) ?(triggers = []) wh ~collection doc
     result
 
 let sync_source ?remove_missing ?triggers wh (s : Warehouse.source) text =
-  match s.transform text with
-  | docs -> sync_documents ?remove_missing ?triggers wh
-              ~collection:s.source_collection docs
-  | exception Line_format.Format_error { entry_index; line; message } ->
-    Error (Printf.sprintf "flat-file error in entry %d (line %d): %s"
-             entry_index line message)
-  | exception Enzyme.Bad_entry m -> Error ("bad ENZYME entry: " ^ m)
-  | exception Embl.Bad_entry m -> Error ("bad EMBL entry: " ^ m)
-  | exception Swissprot.Bad_entry m -> Error ("bad Swiss-Prot entry: " ^ m)
-  | exception Genbank.Bad_entry m -> Error ("bad GenBank entry: " ^ m)
-  | exception Medline.Bad_entry m -> Error ("bad MEDLINE entry: " ^ m)
+  match Warehouse.transform_text s text with
+  | Ok docs ->
+    sync_documents ?remove_missing ?triggers wh ~collection:s.source_collection docs
+  | Error _ as e -> e

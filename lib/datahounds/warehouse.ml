@@ -10,92 +10,7 @@ type source = {
   source_dtd : string;
   source_sequence_elements : string list;
   transform : string -> (string * Gxml.Tree.document) list;
-  split : (string -> (int * int * string) list) option;
-      (* cheap entry-boundary scan for parallel harvesting: cut the flat
-         text into per-entry chunks [(entry_index, first_line, chunk)]
-         such that [transform chunk] parses exactly that entry. [None]
-         keeps the source sequential. *)
 }
-
-(* ---------------- entry splitting for parallel harvest ---------------- *)
-
-(* Split flat text into per-entry chunks without parsing them. Each chunk
-   includes its terminator line, and the returned bases let a worker remap
-   error positions from chunk-local coordinates back to the whole file
-   (entry indexes are 0-based as in {!Line_format.Format_error}; line
-   numbers are 1-based). *)
-let split_generic ~ends ~terminator_alone_opens text =
-  let lines = String.split_on_char '\n' text in
-  let chunks = ref [] and buf = Buffer.create 1024 in
-  let nclosed = ref 0 and line_base = ref 0 and opened = ref false in
-  (* lines are joined back with '\n' separators and NO trailing newline:
-     the chunk-local line list is then exactly the whole-file line list
-     from [line_base] on, so remapped error positions (including the
-     "final entry is not terminated" line, reported at the line COUNT)
-     agree with the sequential parse byte for byte *)
-  let add raw =
-    if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-    Buffer.add_string buf raw
-  in
-  let close () =
-    chunks := (!nclosed, !line_base, Buffer.contents buf) :: !chunks;
-    Buffer.clear buf;
-    opened := false;
-    incr nclosed
-  in
-  let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') s in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      let raw' =
-        if String.length raw > 0 && raw.[String.length raw - 1] = '\r' then
-          String.sub raw 0 (String.length raw - 1)
-        else raw
-      in
-      if !opened then begin
-        add raw;
-        if ends raw' then close ()
-      end
-      else if ends raw' then begin
-        (* a terminator with nothing before it: line-code formats report
-           "empty entry before //", so hand the parser a chunk holding
-           just this line; GenBank and MEDLINE silently skip it *)
-        if terminator_alone_opens then begin
-          line_base := lineno;
-          add raw;
-          close ()
-        end
-      end
-      else if is_blank raw' then ()
-      else begin
-        opened := true;
-        line_base := lineno;
-        add raw
-      end)
-    lines;
-  if !opened then
-    (* unterminated trailing entry: kept as a chunk so the chunk parser
-       reproduces the sequential "not terminated" error at the same
-       entry index (or, for MEDLINE, parses the final entry) *)
-    chunks := (!nclosed, !line_base, Buffer.contents buf) :: !chunks;
-  List.rev !chunks
-
-(* ENZYME / EMBL / Swiss-Prot: an entry ends at a line that is exactly
-   "//" after CR stripping (Line_format.split_entries semantics). *)
-let split_flat_entries text =
-  split_generic ~ends:(String.equal "//") ~terminator_alone_opens:true text
-
-(* GenBank: terminator is "//" modulo surrounding whitespace; a stray
-   terminator with no open entry is ignored. *)
-let split_genbank_entries text =
-  split_generic ~ends:(fun l -> String.trim l = "//")
-    ~terminator_alone_opens:false text
-
-(* MEDLINE: entries are separated by blank lines. *)
-let split_medline_entries text =
-  split_generic
-    ~ends:(fun l -> String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') l)
-    ~terminator_alone_opens:false text
 
 let registry_ddl =
   "CREATE TABLE xml_dtd (collection TEXT PRIMARY KEY, dtd TEXT NOT NULL, \
@@ -176,68 +91,79 @@ let load_stats_to_string st =
     st.docs st.nodes st.keywords st.new_paths (st.transform_s *. 1000.)
     (st.validate_s *. 1000.) (st.shred_s *. 1000.)
 
-(* Core load path, reporting shred stats and per-stage times. *)
-let load_document_timed ?validate t ~collection ~name doc =
+(* The DTD check of one document; [None] checks nothing. *)
+let check_document dtd ~name (doc : Gxml.Tree.document) =
+  match dtd with
+  | None -> Ok ()
+  | Some dtd ->
+    (match Gxml.Dtd.validate dtd doc.root with
+     | [] -> Ok ()
+     | v :: _ ->
+       Error
+         (Printf.sprintf "document %S is invalid: %s" name
+            (Format.asprintf "%a" Gxml.Dtd.pp_violation v)))
+
+let load_document ?validate t ~collection ~name doc =
   let dtd = dtd_of t ~collection in
-  let validate = Option.value validate ~default:(dtd <> None) in
-  let t0 = Rdb.Obs.now_s () in
   let check =
-    if not validate then Ok ()
-    else
-      match dtd with
-      | None -> Error (Printf.sprintf "collection %S has no registered DTD" collection)
-      | Some dtd ->
-        (match Gxml.Dtd.validate dtd doc.Gxml.Tree.root with
-         | [] -> Ok ()
-         | v :: _ ->
-           Error
-             (Printf.sprintf "document %S is invalid: %s" name
-                (Format.asprintf "%a" Gxml.Dtd.pp_violation v)))
+    match Option.value validate ~default:(dtd <> None), dtd with
+    | false, _ -> Ok ()
+    | true, None -> Error (Printf.sprintf "collection %S has no registered DTD" collection)
+    | true, Some _ -> check_document dtd ~name doc
   in
-  let validate_s = Rdb.Obs.now_s () -. t0 in
   match check with
   | Error _ as e -> e
   | Ok () ->
-    let t1 = Rdb.Obs.now_s () in
     ignore (Shred.delete_document t.database ~collection ~name);
     let sequence_elements = sequence_elements_of t ~collection in
     (match Shred.shred ~sequence_elements t.database ~collection ~name doc with
-     | Ok (_, st) -> Ok (st, validate_s, Rdb.Obs.now_s () -. t1)
+     | Ok _ -> Ok ()
      | Error _ as e -> e)
 
-let load_document ?validate t ~collection ~name doc =
-  match load_document_timed ?validate t ~collection ~name doc with
-  | Ok _ -> Ok ()
-  | Error _ as e -> e
+let transform_text (s : source) text =
+  match s.transform text with
+  | docs -> Ok docs
+  | exception Line_format.Format_error { entry_index; line; message } ->
+    Error
+      (Printf.sprintf "flat-file error in entry %d (line %d): %s" entry_index line
+         message)
+  | exception Enzyme.Bad_entry m -> Error ("bad ENZYME entry: " ^ m)
+  | exception Embl.Bad_entry m -> Error ("bad EMBL entry: " ^ m)
+  | exception Swissprot.Bad_entry m -> Error ("bad Swiss-Prot entry: " ^ m)
+  | exception Genbank.Bad_entry m -> Error ("bad GenBank entry: " ^ m)
+  | exception Medline.Bad_entry m -> Error ("bad MEDLINE entry: " ^ m)
 
-(* Ordered installation, on the calling domain, of per-document results
+let add_doc acc (st : Shred.stats) ~validate_s ~shred_s =
+  { acc with
+    docs = acc.docs + 1;
+    nodes = acc.nodes + st.nodes;
+    keywords = acc.keywords + st.keywords;
+    new_paths = acc.new_paths + st.new_paths;
+    validate_s = acc.validate_s +. validate_s;
+    shred_s = acc.shred_s +. shred_s }
+
+(* Ordered installation of per-document results
    [(name, prepared-or-error, validate_s, prepare_s)]. The install stops
-   at the first error, keeping the documents before it — the sequential
-   contract. On the disk backend the whole run of successfully prepared
-   documents installs through the spool-then-load path
-   ({!Shred.install_prepared_bulk}); a batch that loads the same
-   document name twice (second replaces the first mid-batch) falls back
-   to per-document installation, the only schedule that reproduces it. *)
+   at the first error, keeping the documents before it. On the disk
+   backend the whole run of successfully prepared documents installs
+   through the spool-then-load path ({!Shred.install_prepared_bulk}); a
+   batch that loads the same document name twice (second replaces the
+   first mid-batch) falls back to per-document installation, the only
+   schedule that reproduces it. *)
 
 let install_per_doc t ~collection acc0 results =
   let rec install acc = function
     | [] -> Ok acc
-    | (name, Error m, _, _) :: _ -> ignore name; Error m
+    | (_, Error m, _, _) :: _ -> Error m
     | (name, Ok prep, validate_s, prepare_s) :: rest ->
       let t4 = Rdb.Obs.now_s () in
       ignore (Shred.delete_document t.database ~collection ~name);
       (match Shred.install_prepared t.database prep with
        | Error _ as e -> e
        | Ok (_, st) ->
-         let shred_s = prepare_s +. (Rdb.Obs.now_s () -. t4) in
          install
-           { acc with
-             docs = acc.docs + 1;
-             nodes = acc.nodes + st.Shred.nodes;
-             keywords = acc.keywords + st.Shred.keywords;
-             new_paths = acc.new_paths + st.Shred.new_paths;
-             validate_s = acc.validate_s +. validate_s;
-             shred_s = acc.shred_s +. shred_s }
+           (add_doc acc st ~validate_s
+              ~shred_s:(prepare_s +. (Rdb.Obs.now_s () -. t4)))
            rest)
   in
   install acc0 results
@@ -259,14 +185,8 @@ let install_bulk t acc0 results =
        let install_s = Rdb.Obs.now_s () -. t4 in
        let acc =
          List.fold_left2
-           (fun acc (_, vs, ps) (_, st) ->
-             { acc with
-               docs = acc.docs + 1;
-               nodes = acc.nodes + st.Shred.nodes;
-               keywords = acc.keywords + st.Shred.keywords;
-               new_paths = acc.new_paths + st.Shred.new_paths;
-               validate_s = acc.validate_s +. vs;
-               shred_s = acc.shred_s +. ps })
+           (fun acc (_, validate_s, shred_s) (_, st) ->
+             add_doc acc st ~validate_s ~shred_s)
            acc0 oks per_doc
        in
        Ok { acc with shred_s = acc.shred_s +. install_s })
@@ -290,139 +210,6 @@ let install_processed t ~collection acc0 results =
     install_bulk t acc0 results
   else install_per_doc t ~collection acc0 results
 
-let harvest_sequential t (s : source) flat_text =
-  let t0 = Rdb.Obs.now_s () in
-  match s.transform flat_text with
-  | docs ->
-    let transform_s = Rdb.Obs.now_s () -. t0 in
-    let rec load acc = function
-      | [] -> Ok acc
-      | (name, doc) :: rest ->
-        (match load_document_timed t ~collection:s.source_collection ~name doc with
-         | Ok (st, validate_s, shred_s) ->
-           load
-             { acc with
-               docs = acc.docs + 1;
-               nodes = acc.nodes + st.Shred.nodes;
-               keywords = acc.keywords + st.Shred.keywords;
-               new_paths = acc.new_paths + st.Shred.new_paths;
-               validate_s = acc.validate_s +. validate_s;
-               shred_s = acc.shred_s +. shred_s }
-             rest
-         | Error _ as e -> e)
-    in
-    load
-      { docs = 0; nodes = 0; keywords = 0; new_paths = 0; transform_s;
-        validate_s = 0.; shred_s = 0. }
-      docs
-
-(* Parallel harvest: the entry-boundary scan and the tuple installation
-   stay sequential (installation allocates doc/path/node ids, which must
-   be assigned in document order to stay byte-identical to the
-   sequential loader); parsing, DTD validation and shredding — the bulk
-   of the work — fan out across pool domains, one task per entry.
-
-   Error semantics match the sequential path exactly: a parse error
-   anywhere loads nothing and reports the first (lowest-entry) failure
-   at its whole-file position; an invalid document stops the load at
-   that document, keeping the ones before it. *)
-let harvest_parallel t (s : source) split flat_text =
-  let collection = s.source_collection in
-  (* pre-fetch everything a worker would otherwise query the database
-     for; workers must not touch [t.database] *)
-  let dtd = dtd_of t ~collection in
-  let sequence_elements = sequence_elements_of t ~collection in
-  let t0 = Rdb.Obs.now_s () in
-  let chunks = split flat_text in
-  let split_s = Rdb.Obs.now_s () -. t0 in
-  let process (entry_base, line_base, chunk) =
-    let t1 = Rdb.Obs.now_s () in
-    let docs =
-      try s.transform chunk
-      with Line_format.Format_error { entry_index; line; message } ->
-        (* remap chunk-local coordinates to whole-file ones *)
-        raise
-          (Line_format.Format_error
-             { entry_index = entry_base + entry_index;
-               line = line_base + line - 1;
-               message })
-    in
-    let transform_s = Rdb.Obs.now_s () -. t1 in
-    let results =
-      List.map
-        (fun (name, doc) ->
-          let t2 = Rdb.Obs.now_s () in
-          let check =
-            match dtd with
-            | None -> Ok ()
-            | Some dtd ->
-              (match Gxml.Dtd.validate dtd doc.Gxml.Tree.root with
-               | [] -> Ok ()
-               | v :: _ ->
-                 Error
-                   (Printf.sprintf "document %S is invalid: %s" name
-                      (Format.asprintf "%a" Gxml.Dtd.pp_violation v)))
-          in
-          let validate_s = Rdb.Obs.now_s () -. t2 in
-          match check with
-          | Error m -> (name, Error m, validate_s, 0.)
-          | Ok () ->
-            let t3 = Rdb.Obs.now_s () in
-            let prep = Shred.prepare ~sequence_elements ~collection ~name doc in
-            (name, Ok prep, validate_s, Rdb.Obs.now_s () -. t3))
-        docs
-    in
-    (transform_s, results)
-  in
-  let processed = Conc.Pool.parallel_map (Conc.Pool.get ()) process chunks in
-  let transform_s =
-    List.fold_left (fun acc (ts, _) -> acc +. ts) split_s processed
-  in
-  (* ordered installation on this domain only *)
-  install_processed t ~collection
-    { docs = 0; nodes = 0; keywords = 0; new_paths = 0; transform_s;
-      validate_s = 0.; shred_s = 0. }
-    (List.concat_map snd processed)
-
-(* Sequential prepare (no split declared, or one job) feeding the shared
-   installer: used on the disk backend so sequential harvests also take
-   the spool-then-load path. *)
-let harvest_prepared t (s : source) flat_text =
-  let collection = s.source_collection in
-  let dtd = dtd_of t ~collection in
-  let sequence_elements = sequence_elements_of t ~collection in
-  let t0 = Rdb.Obs.now_s () in
-  let docs = s.transform flat_text in
-  let transform_s = Rdb.Obs.now_s () -. t0 in
-  let results =
-    List.map
-      (fun (name, doc) ->
-        let t2 = Rdb.Obs.now_s () in
-        let check =
-          match dtd with
-          | None -> Ok ()
-          | Some dtd ->
-            (match Gxml.Dtd.validate dtd doc.Gxml.Tree.root with
-             | [] -> Ok ()
-             | v :: _ ->
-               Error
-                 (Printf.sprintf "document %S is invalid: %s" name
-                    (Format.asprintf "%a" Gxml.Dtd.pp_violation v)))
-        in
-        let validate_s = Rdb.Obs.now_s () -. t2 in
-        match check with
-        | Error m -> (name, Error m, validate_s, 0.)
-        | Ok () ->
-          let t3 = Rdb.Obs.now_s () in
-          let prep = Shred.prepare ~sequence_elements ~collection ~name doc in
-          (name, Ok prep, validate_s, Rdb.Obs.now_s () -. t3))
-      docs
-  in
-  install_processed t ~collection
-    { docs = 0; nodes = 0; keywords = 0; new_paths = 0; transform_s;
-      validate_s = 0.; shred_s = 0. }
-    results
-
 (* ShrubTune: a freshly loaded warehouse should not plan on default
    statistics. Refreshing stats bumps the catalog version, so cached
    plans self-invalidate. *)
@@ -431,28 +218,42 @@ let analyze_warehouse t =
     (fun table -> ignore (Rdb.Database.exec t.database ("ANALYZE " ^ table)))
     Shred.tables
 
+(* Transform the whole text (a parse error loads nothing), validate and
+   prepare every document ({!Shred.prepare}: the tree walk, no database
+   access), then install in document order. *)
 let harvest_stats ?(analyze = true) t (s : source) flat_text =
-  let run () =
-    match s.split with
-    | Some split when Conc.Pool.jobs () > 1 -> harvest_parallel t s split flat_text
-    | _ ->
-      if Rdb.Database.is_disk t.database then harvest_prepared t s flat_text
-      else harvest_sequential t s flat_text
-  in
-  match run () with
-  | Ok _ as r ->
-    if analyze then analyze_warehouse t;
-    r
+  let collection = s.source_collection in
+  let dtd = dtd_of t ~collection in
+  let sequence_elements = sequence_elements_of t ~collection in
+  let t0 = Rdb.Obs.now_s () in
+  match transform_text s flat_text with
   | Error _ as e -> e
-  | exception Line_format.Format_error { entry_index; line; message } ->
-    Error
-      (Printf.sprintf "flat-file error in entry %d (line %d): %s" entry_index line
-         message)
-  | exception Enzyme.Bad_entry m -> Error ("bad ENZYME entry: " ^ m)
-  | exception Embl.Bad_entry m -> Error ("bad EMBL entry: " ^ m)
-  | exception Swissprot.Bad_entry m -> Error ("bad Swiss-Prot entry: " ^ m)
-  | exception Genbank.Bad_entry m -> Error ("bad GenBank entry: " ^ m)
-  | exception Medline.Bad_entry m -> Error ("bad MEDLINE entry: " ^ m)
+  | Ok docs ->
+    let transform_s = Rdb.Obs.now_s () -. t0 in
+    let results =
+      List.map
+        (fun (name, doc) ->
+          let t1 = Rdb.Obs.now_s () in
+          let check = check_document dtd ~name doc in
+          let validate_s = Rdb.Obs.now_s () -. t1 in
+          match check with
+          | Error m -> (name, Error m, validate_s, 0.)
+          | Ok () ->
+            let t2 = Rdb.Obs.now_s () in
+            let prep = Shred.prepare ~sequence_elements ~collection ~name doc in
+            (name, Ok prep, validate_s, Rdb.Obs.now_s () -. t2))
+        docs
+    in
+    (match
+       install_processed t ~collection
+         { docs = 0; nodes = 0; keywords = 0; new_paths = 0; transform_s;
+           validate_s = 0.; shred_s = 0. }
+         results
+     with
+     | Ok _ as r ->
+       if analyze then analyze_warehouse t;
+       r
+     | Error _ as e -> e)
 
 let harvest ?analyze t s flat_text =
   match harvest_stats ?analyze t s flat_text with
@@ -498,8 +299,7 @@ let enzyme_source =
       (fun text ->
         List.map
           (fun e -> (Enzyme_xml.document_name e, Enzyme_xml.to_document e))
-          (Enzyme.parse_many text));
-    split = Some split_flat_entries }
+          (Enzyme.parse_many text)) }
 
 let embl_source ~division =
   { source_name = "embl-" ^ String.lowercase_ascii division;
@@ -511,8 +311,7 @@ let embl_source ~division =
         Embl.parse_many text
         |> List.filter (fun (e : Embl.t) ->
             String.lowercase_ascii e.division = String.lowercase_ascii division)
-        |> List.map (fun e -> (Embl_xml.document_name e, Embl_xml.to_document e)));
-    split = Some split_flat_entries }
+        |> List.map (fun e -> (Embl_xml.document_name e, Embl_xml.to_document e))) }
 
 let swissprot_source =
   { source_name = "swissprot";
@@ -523,8 +322,7 @@ let swissprot_source =
       (fun text ->
         List.map
           (fun p -> (Swissprot_xml.document_name p, Swissprot_xml.to_document p))
-          (Swissprot.parse_many text));
-    split = Some split_flat_entries }
+          (Swissprot.parse_many text)) }
 
 let genbank_source =
   { source_name = "genbank";
@@ -535,8 +333,7 @@ let genbank_source =
       (fun text ->
         List.map
           (fun g -> (Genbank_xml.document_name g, Genbank_xml.to_document g))
-          (Genbank.parse_many text));
-    split = Some split_genbank_entries }
+          (Genbank.parse_many text)) }
 
 let medline_source =
   { source_name = "medline";
@@ -547,5 +344,4 @@ let medline_source =
       (fun text ->
         List.map
           (fun m -> (Medline_xml.document_name m, Medline_xml.to_document m))
-          (Medline.parse_many text));
-    split = Some split_medline_entries }
+          (Medline.parse_many text)) }

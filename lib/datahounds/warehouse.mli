@@ -18,12 +18,6 @@ type source = {
   transform : string -> (string * Gxml.Tree.document) list;
       (** flat text -> (document name, document) pairs; raises on
           malformed input *)
-  split : (string -> (int * int * string) list) option;
-      (** entry-boundary scan enabling parallel harvest: cut flat text
-          into per-entry chunks [(entry_index, first_line, chunk)] such
-          that [transform chunk] parses exactly that entry ([entry_index]
-          0-based, [first_line] 1-based, for error-position remapping).
-          [None] keeps the source on the sequential load path. *)
 }
 
 val create : ?wal:string -> ?data_dir:string -> unit -> t
@@ -50,17 +44,15 @@ val harvest : ?analyze:bool -> t -> source -> string -> (int, string) result
     warehouse. Returns the number of documents loaded. Existing documents
     with the same name are replaced.
 
-    When the source declares a {!source.split} function and the domain
-    pool runs more than one job (see [Conc.Pool.set_jobs] /
-    [XOMATIQ_JOBS]), parsing, validation and shredding fan out across
-    domains; tuples are still installed in document order on the calling
-    domain, so the resulting tables — ids, sibling order, everything —
-    are byte-identical to a sequential load.
-
-    On the disk backend installation is spool-then-load
-    ({!Shred.install_prepared_bulk}): rows are appended as full pages
-    under one WAL record per table and fresh B+tree indexes are built
-    bottom-up — again byte-identical to the per-row path.
+    The whole text is transformed first, so a parse error loads nothing.
+    Each document is then validated and prepared ({!Shred.prepare}) and
+    installed in document order; an invalid document stops the load
+    there, keeping the documents before it. On the disk backend
+    installation is spool-then-load ({!Shred.install_prepared_bulk}):
+    rows are appended as full pages under one WAL record per table and
+    fresh B+tree indexes are built bottom-up — byte-identical to
+    installing one document at a time, which the in-memory backend does
+    (as does a batch that names a document twice).
 
     After a successful harvest the four shred tables are re-ANALYZEd so
     the planner sees the new data volume ([analyze] defaults to true;
@@ -83,6 +75,12 @@ val harvest_stats :
   ?analyze:bool -> t -> source -> string -> (load_stats, string) result
 (** {!harvest}, additionally reporting shred/insert volume and per-stage
     wall time. *)
+
+val transform_text :
+  source -> string -> ((string * Gxml.Tree.document) list, string) result
+(** Run the source's transformer, reporting a flat-file parse error
+    (a malformed line, an entry a parser rejects) as the message
+    {!harvest} and {!Sync.sync_source} return. *)
 
 val load_document :
   ?validate:bool -> t -> collection:string -> name:string ->

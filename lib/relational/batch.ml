@@ -10,15 +10,7 @@ type t = {
   sel : int array option;
 }
 
-let default_rows = 1024
-
-let max_rows () =
-  match Sys.getenv_opt "XOMATIQ_VEC_BATCH" with
-  | None | Some "" -> default_rows
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> max 1 (min n 4096)
-      | None -> default_rows)
+let max_rows = 1024
 
 let arity b = Array.length b.cols
 
@@ -151,7 +143,6 @@ let append_cols l r li ri =
 let to_row_seq bseq = Seq.concat_map rows bseq
 
 let chunk_rows ~arity rows =
-  let cap = max_rows () in
   let rec go acc buf n = function
     | [] ->
         let acc =
@@ -160,7 +151,7 @@ let chunk_rows ~arity rows =
         in
         List.rev acc
     | r :: rest ->
-        if n + 1 >= cap then
+        if n + 1 >= max_rows then
           go
             (of_rows ~arity (Array.of_list (List.rev (r :: buf))) :: acc)
             [] 0 rest

@@ -1,6 +1,6 @@
 (** Columnar row batches for the vectorized executor.
 
-    A batch holds up to a few thousand rows of one operator's output in
+    A batch holds up to {!max_rows} rows of one operator's output in
     column-major layout. Columns whose every value is [Value.Int] are
     stored as unboxed [int array]s (the XML region columns — doc_id,
     node_id, last_desc, rowids — always land there); everything else
@@ -17,9 +17,8 @@ type t = {
   sel : int array option;   (** live row indices, ascending; [None] = all *)
 }
 
-val max_rows : unit -> int
-(** Target rows per batch: [XOMATIQ_VEC_BATCH], default 1024, clamped to
-    [1, 4096]. *)
+val max_rows : int
+(** Target rows per batch: 1024. *)
 
 val arity : t -> int
 val live : t -> int

@@ -38,30 +38,23 @@ let () =
   Obs.register_counter "exec.parallel_granted" m_par_granted;
   Obs.register_counter "exec.parallel_degraded" m_par_degraded
 
-(* Which pool, if any, an Exchange fan-out may run on. Static mode
-   forces the global pool into existence (the pre-adaptive behavior).
-   Adaptive mode borrows a pool that some other call already created —
-   and only creates one itself when the host has a spare core to run
-   worker domains on: resident domains on a single-core host tax every
-   query through the stop-the-world GC rendezvous without buying any
-   parallelism. *)
+(* Which pool, if any, an Exchange fan-out may run on: one that some
+   other call already created — or a fresh one, but only when the host
+   has a spare core to run worker domains on: resident domains on a
+   single-core host tax every query through the stop-the-world GC
+   rendezvous without buying any parallelism. *)
 let multicore = lazy (Domain.recommended_domain_count () > 1)
 
 let exchange_pool ~workers : Conc.Pool.t option =
   if workers <= 1 || Conc.Pool.jobs () <= 1 then None
   else begin
     let candidate =
-      match Conc.Sched.mode () with
-      | Conc.Sched.Static -> Some (Conc.Pool.get ())
-      | Conc.Sched.Adaptive -> (
-        match Conc.Pool.peek () with
-        | Some _ as p -> p
-        | None -> if Lazy.force multicore then Some (Conc.Pool.get ()) else None)
+      match Conc.Pool.peek () with
+      | Some _ as p -> p
+      | None -> if Lazy.force multicore then Some (Conc.Pool.get ()) else None
     in
     match candidate with
-    | Some pool
-      when Conc.Pool.size pool > 1
-           && Conc.Sched.exchange_parallel pool ~workers ->
+    | Some pool when Conc.Sched.exchange_parallel pool ~workers ->
       Obs.Counter.incr m_par_granted;
       Some pool
     | _ ->
@@ -1256,7 +1249,6 @@ let guarded_batches token (seq : Batch.t Seq.t) =
    [Batch.max_rows] rows; empty inputs yield no batches (a zero-row
    batch is never emitted). *)
 let batches_of_rows ~arity (rows : Value.t array Seq.t) : Batch.t Seq.t =
-  let cap = Batch.max_rows () in
   let rec go rows () =
     match rows () with
     | Seq.Nil -> Seq.Nil
@@ -1264,7 +1256,7 @@ let batches_of_rows ~arity (rows : Value.t array Seq.t) : Batch.t Seq.t =
       let buf = ref [ r0 ] and n = ref 1 in
       let rest = ref rest in
       (try
-         while !n < cap do
+         while !n < Batch.max_rows do
            match !rest () with
            | Seq.Nil ->
              rest := Seq.empty;

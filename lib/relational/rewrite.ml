@@ -838,4 +838,4 @@ let footer report =
     | [] -> "none"
     | r -> String.concat " " (List.map (fun (n, c) -> Printf.sprintf "%s=%d" n c) r)
   in
-  Printf.sprintf "\nVectorized: batch=%d rewrites=[%s]\n" (Batch.max_rows ()) rules_s
+  Printf.sprintf "\nVectorized: batch=%d rewrites=[%s]\n" Batch.max_rows rules_s

@@ -178,13 +178,11 @@ let chunk_size = 64 * 1024
    body on whichever thread runs it, [dispatch] says whether it goes off
    the calling thread (so the socket stays watched) or runs inline.
 
-   In static mode ([XOMATIQ_SCHED=static]) everything is dispatched —
-   the pre-adaptive behaviour. In adaptive mode the request is planned
-   *here*, on the calling thread (a plan-cache lookup on the hot path,
-   or the session's own memoized preparation), and the root cost
-   estimate picks the lane: a cheap query never pays the pool round-trip
-   and its ~1 ms+ future-poll latency, an expensive one keeps the
-   dispatched path so CANCEL frames and deadlines stay live mid-query.
+   The request is planned *here*, on the calling thread (a plan-cache
+   lookup on the hot path, or the session's own memoized preparation),
+   and the root cost estimate picks the lane: a cheap query never pays
+   the dispatch round-trip, an expensive one keeps the dispatched path
+   so CANCEL frames and deadlines stay live mid-query.
    Planning errors raise [Query_error] from here, exactly as they would
    from inside the dispatched task. *)
 let plan_work t sess token kind text =
@@ -202,77 +200,75 @@ let plan_work t sess token kind text =
       let body, rows, cached = render_request t sess token kind text in
       finish ~t0 body rows cached
   in
-  if Conc.Sched.mode () = Conc.Sched.Static then (render_job kind, true)
-  else
-    match kind with
-    | `Query ->
-      let strategy = sess.Session.contains in
-      let pt, cached =
-        match sess.Session.prep with
-        | Some (txt, pt)
-          when txt = text
-               && Xomatiq.Engine.prepared_valid ~contains_strategy:strategy
-                    t.wh pt ->
-          (pt, true)
-        | _ ->
-          let pt =
-            Xomatiq.Engine.prepare_text ~contains_strategy:strategy t.wh text
-          in
-          sess.Session.prep <- Some (text, pt);
-          (pt, Xomatiq.Engine.prepared_hit pt)
+  match kind with
+  | `Query ->
+    let strategy = sess.Session.contains in
+    let pt, cached =
+      match sess.Session.prep with
+      | Some (txt, pt)
+        when txt = text
+             && Xomatiq.Engine.prepared_valid ~contains_strategy:strategy
+                  t.wh pt ->
+        (pt, true)
+      | _ ->
+        let pt =
+          Xomatiq.Engine.prepare_text ~contains_strategy:strategy t.wh text
+        in
+        sess.Session.prep <- Some (text, pt);
+        (pt, Xomatiq.Engine.prepared_hit pt)
+    in
+    let decision =
+      Conc.Sched.plan_decision ~est_cost:(Xomatiq.Engine.prepared_cost pt)
+    in
+    let job () =
+      let t0 = Obs.now_s () in
+      let result =
+        Xomatiq.Engine.run_prepared_text ~cancel:token ~cached pt
       in
+      let body =
+        match sess.Session.format with
+        | `Table -> Xomatiq.Engine.result_to_table result
+        | `Xml ->
+          Gxml.Printer.document_to_string ~pretty:true
+            (Xomatiq.Engine.result_to_xml result)
+      in
+      finish ~t0 body
+        (List.length result.Xomatiq.Engine.rows)
+        result.Xomatiq.Engine.cached
+    in
+    (job, decision.Conc.Sched.par)
+  | `Sql -> begin
+    let db = Datahounds.Warehouse.db t.wh in
+    let planned_job planned =
       let decision =
-        Conc.Sched.plan_decision ~est_cost:(Xomatiq.Engine.prepared_cost pt)
+        Conc.Sched.plan_decision
+          ~est_cost:planned.Rdb.Planner.est_cost
       in
       let job () =
         let t0 = Obs.now_s () in
-        let result =
-          Xomatiq.Engine.run_prepared_text ~cancel:token ~cached pt
+        let columns, rows =
+          Rdb.Database.run_planned db ~cancel:token planned
         in
-        let body =
-          match sess.Session.format with
-          | `Table -> Xomatiq.Engine.result_to_table result
-          | `Xml ->
-            Gxml.Printer.document_to_string ~pretty:true
-              (Xomatiq.Engine.result_to_xml result)
-        in
-        finish ~t0 body
-          (List.length result.Xomatiq.Engine.rows)
-          result.Xomatiq.Engine.cached
+        finish ~t0 (values_to_table columns rows) (List.length rows) false
       in
       (job, decision.Conc.Sched.par)
-    | `Sql -> begin
-      let db = Datahounds.Warehouse.db t.wh in
-      let planned_job planned =
-        let decision =
-          Conc.Sched.plan_decision
-            ~est_cost:planned.Rdb.Planner.est_cost
-        in
-        let job () =
-          let t0 = Obs.now_s () in
-          let columns, rows =
-            Rdb.Database.run_planned db ~cancel:token planned
-          in
-          finish ~t0 (values_to_table columns rows) (List.length rows) false
-        in
-        (job, decision.Conc.Sched.par)
-      in
-      match Rdb.Sql_parser.parse text with
-      | Rdb.Sql_ast.Select_stmt sel ->
-        planned_job (Rdb.Database.plan_select db sel)
-      | Rdb.Sql_ast.Query_stmt q ->
-        planned_job (Rdb.Planner.plan_query (Rdb.Database.catalog db) q)
-      | _ ->
-        (* DML / DDL / transaction control: statement-level locking
-           serializes writers; nothing to fan out, so stay inline *)
-        (render_job `Sql, false)
-      | exception (Rdb.Sql_parser.Parse_error _ as e) ->
-        raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
-    end
-    (* pure planning, never worth a pool round-trip *)
-    | `Explain -> (render_job `Explain, false)
-    (* executes the query with unknown-ahead cost: keep it cancelable *)
-    | `Analyze -> (render_job `Analyze, true)
+    in
+    match Rdb.Sql_parser.parse text with
+    | Rdb.Sql_ast.Select_stmt sel ->
+      planned_job (Rdb.Database.plan_select db sel)
+    | Rdb.Sql_ast.Query_stmt q ->
+      planned_job (Rdb.Planner.plan_query (Rdb.Database.catalog db) q)
+    | _ ->
+      (* DML / DDL / transaction control: statement-level locking
+         serializes writers; nothing to fan out, so stay inline *)
+      (render_job `Sql, false)
+    | exception (Rdb.Sql_parser.Parse_error _ as e) ->
+      raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
+  end
+  (* pure planning, never worth a dispatch *)
+  | `Explain -> (render_job `Explain, false)
+  (* executes the query with unknown-ahead cost: keep it cancelable *)
+  | `Analyze -> (render_job `Analyze, true)
 
 let storage_json wh =
   let db = Datahounds.Warehouse.db wh in
@@ -298,8 +294,8 @@ let replication_json t =
 
 let metrics_payload t sess =
   "{\"metrics\": " ^ Obs.dump_json ()
-  ^ Printf.sprintf ", \"sched\": {\"mode\": \"%s\", \"cost_threshold\": %g}"
-      (Conc.Sched.mode_tag ()) (Conc.Sched.cost_threshold ())
+  ^ Printf.sprintf ", \"sched\": {\"cost_threshold\": %g}"
+      Conc.Sched.cost_threshold
   ^ ", \"storage\": " ^ storage_json t.wh
   ^ ", \"replication\": " ^ replication_json t
   ^ ", \"session\": " ^ Session.info_json sess ^ "}"
@@ -334,9 +330,9 @@ let fire_wallclock_timeout t token =
 
    The adaptive scheduler's lanes survive unchanged: cheap queries run
    inline on the reactor thread (no hand-off at all), expensive ones
-   dispatch to a shepherd thread (static mode: the worker-domain pool)
-   while the reactor keeps reading the connection — CANCEL and BYE stay
-   live mid-query, and other sessions keep being served. *)
+   dispatch to a shepherd thread while the reactor keeps reading the
+   connection — CANCEL and BYE stay live mid-query, and other sessions
+   keep being served. *)
 
 type phase = Handshaking | Ready | Closing
 
@@ -506,18 +502,8 @@ let proto_violation rl conn msg =
 let dispatch_job rl conn token job k =
   conn.inflight <- Some token;
   let finish result = R.post rl.rs.reactor (fun () -> k result) in
-  let runner =
-    match Conc.Sched.mode () with
-    | Conc.Sched.Adaptive ->
-      fun () ->
-        finish (match job () with v -> Ok v | exception e -> Error e)
-    | Conc.Sched.Static ->
-      fun () ->
-        let fut = Conc.Pool.submit (Conc.Pool.get ()) job in
-        finish
-          (match Conc.Pool.await_blocking fut with
-           | v -> Ok v
-           | exception e -> Error e)
+  let runner () =
+    finish (match job () with v -> Ok v | exception e -> Error e)
   in
   ignore (Thread.create runner ())
 

@@ -129,13 +129,11 @@ let normalize_query_text text =
 let strategy_tag strategy =
   let s = match strategy with `Keyword_index -> "kw" | `Like_scan -> "like" in
   (* the structural-join and vectorized-executor toggles change the
-     physical plan (the rewrite pass runs only when vectorized), and the
-     scheduler mode changes how a plan is granted workers, so a cached
-     plan from one setting must not serve the other *)
-  Printf.sprintf "%s/j%d/sj%d/v%d/%s" s (Conc.Pool.jobs ())
+     physical plan (the rewrite pass runs only when vectorized), so a
+     cached plan from one setting must not serve the other *)
+  Printf.sprintf "%s/j%d/sj%d/v%d" s (Conc.Pool.jobs ())
     (if Rdb.Planner.structural_enabled () then 1 else 0)
     (if Rdb.Rewrite.enabled () then 1 else 0)
-    (Conc.Sched.mode_tag ())
 
 let catalog_version wh =
   Rdb.Catalog.version (Rdb.Database.catalog (Datahounds.Warehouse.db wh))

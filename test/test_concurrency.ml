@@ -1,6 +1,7 @@
 (* Multicore XomatiQ: the domain pool itself, Exchange-parallel query
-   execution, parallel Data Hounds loading, and domain-safety of the
-   shared engine state (plan cache, Obs counters, catalog version). *)
+   execution, Data Hounds loading at any worker count, and domain-safety
+   of the shared engine state (plan cache, Obs counters, catalog
+   version). *)
 
 let check = Alcotest.check
 
@@ -26,21 +27,6 @@ let test_parallel_map () =
     "size-1 pool" [ 2; 4; 6 ]
     (Conc.Pool.parallel_map p1 (fun x -> 2 * x) [ 1; 2; 3 ]);
   Conc.Pool.shutdown p1
-
-let test_parallel_chunks () =
-  let pool = Conc.Pool.create 3 in
-  Fun.protect ~finally:(fun () -> Conc.Pool.shutdown pool) @@ fun () ->
-  let ranges = Conc.Pool.parallel_chunks pool ~n:10 (fun lo hi -> (lo, hi)) in
-  (* contiguous cover of [0, 10) in order *)
-  let flat =
-    List.concat_map (fun (lo, hi) -> List.init (hi - lo) (fun i -> lo + i)) ranges
-  in
-  check Alcotest.(list int) "chunks cover the range once, in order"
-    (List.init 10 Fun.id) flat;
-  check Alcotest.(list (pair int int)) "n smaller than pool" [ (0, 1); (1, 2) ]
-    (Conc.Pool.parallel_chunks pool ~n:2 (fun lo hi -> (lo, hi)));
-  check Alcotest.(list (pair int int)) "n = 0" []
-    (Conc.Pool.parallel_chunks pool ~n:0 (fun lo hi -> (lo, hi)))
 
 exception Boom of int
 
@@ -93,31 +79,21 @@ let contains_sub s sub =
 
 let test_sched_plan_decisions () =
   let open Conc.Sched in
-  with_mode Adaptive (fun () ->
-      Conc.Pool.with_jobs 2 (fun () ->
-          let cheap = plan_decision ~est_cost:10. in
-          check Alcotest.bool "cheap query stays sequential" false cheap.par;
-          check Alcotest.string "cheap reason" "cost" cheap.reason;
-          let costly = plan_decision ~est_cost:1e9 in
-          check Alcotest.bool "expensive query requests workers" true
-            costly.par;
-          check Alcotest.int "worker request matches jobs" 2 costly.workers;
-          check Alcotest.string "expensive reason" "pool-idle" costly.reason;
-          (* the threshold is the exact boundary *)
-          let at = plan_decision ~est_cost:(cost_threshold ()) in
-          check Alcotest.bool "cost at threshold goes parallel" true at.par);
-      Conc.Pool.with_jobs 1 (fun () ->
-          let costly = plan_decision ~est_cost:1e9 in
-          check Alcotest.bool "jobs=1 never parallel" false costly.par;
-          check Alcotest.string "jobs=1 reason" "forced" costly.reason));
-  with_mode Static (fun () ->
-      Conc.Pool.with_jobs 2 (fun () ->
-          let d = plan_decision ~est_cost:0. in
-          check Alcotest.bool "static dispatches even free queries" true d.par;
-          check Alcotest.string "static reason" "forced" d.reason);
-      Conc.Pool.with_jobs 1 (fun () ->
-          check Alcotest.bool "static at jobs=1 is sequential" false
-            (plan_decision ~est_cost:1e9).par))
+  Conc.Pool.with_jobs 2 (fun () ->
+      let cheap = plan_decision ~est_cost:10. in
+      check Alcotest.bool "cheap query stays sequential" false cheap.par;
+      check Alcotest.string "cheap reason" "cost" cheap.reason;
+      let costly = plan_decision ~est_cost:1e9 in
+      check Alcotest.bool "expensive query requests workers" true costly.par;
+      check Alcotest.int "worker request matches jobs" 2 costly.workers;
+      check Alcotest.string "expensive reason" "pool-idle" costly.reason;
+      (* the threshold is the exact boundary *)
+      let at = plan_decision ~est_cost:cost_threshold in
+      check Alcotest.bool "cost at threshold goes parallel" true at.par);
+  Conc.Pool.with_jobs 1 (fun () ->
+      let costly = plan_decision ~est_cost:1e9 in
+      check Alcotest.bool "jobs=1 never parallel" false costly.par;
+      check Alcotest.string "jobs=1 reason" "forced" costly.reason)
 
 let test_pool_available () =
   let pool = Conc.Pool.create 3 in
@@ -140,18 +116,13 @@ let test_pool_available () =
   in
   await_value "busy pool exhausts availability" 0 300;
   (* the run-time idle gate refuses a fan-out right now *)
-  Conc.Sched.with_mode Conc.Sched.Adaptive (fun () ->
-      check Alcotest.bool "no idle worker: degrade to sequential" false
-        (Conc.Sched.exchange_parallel pool ~workers:3);
-      check Alcotest.bool "static mode ignores occupancy" true
-        (Conc.Sched.with_mode Conc.Sched.Static (fun () ->
-             Conc.Sched.exchange_parallel pool ~workers:3)));
+  check Alcotest.bool "no idle worker: degrade to sequential" false
+    (Conc.Sched.exchange_parallel pool ~workers:3);
   Atomic.set gate true;
-  List.iter (Conc.Pool.await_blocking) futs;
+  List.iter (Conc.Pool.await pool) futs;
   await_value "drained pool recovers" 2 300;
-  Conc.Sched.with_mode Conc.Sched.Adaptive (fun () ->
-      check Alcotest.bool "idle again: fan-out granted" true
-        (Conc.Sched.exchange_parallel pool ~workers:3))
+  check Alcotest.bool "idle again: fan-out granted" true
+    (Conc.Sched.exchange_parallel pool ~workers:3)
 
 let test_pool_peek () =
   (* [peek] never creates the pool; a [with_jobs] override above 1
@@ -178,7 +149,6 @@ let test_explain_sched_footer () =
    with
    | Ok _ -> ()
    | Error m -> failwith m);
-  Conc.Sched.with_mode Conc.Sched.Adaptive @@ fun () ->
   Conc.Pool.with_jobs 2 @@ fun () ->
   let explain sql =
     match Rdb.Database.explain db sql with
@@ -272,7 +242,7 @@ let test_exchange_results_identical () =
     (contains_sub out "part=1/4");
   Rdb.Database.close db
 
-(* ---------------- parallel Data Hounds ---------------- *)
+(* ---------------- Data Hounds at any worker count ---------------- *)
 
 let universe =
   Workload.Genbio.generate
@@ -327,9 +297,9 @@ let harvest_error_at jobs source text =
       (r, docs))
 
 let test_parallel_harvest_errors_identical () =
-  (* a malformed third entry: the parallel loader must report the same
-     whole-file entry/line position as the sequential one, and neither
-     must install anything for a parse failure *)
+  (* a malformed third entry: the error names its whole-file entry/line
+     position whatever the worker count, and a parse failure installs
+     nothing *)
   let good n =
     Printf.sprintf "ID   %d.1.1.1\nDE   Enzyme number %d.\n//" n n
   in
@@ -344,15 +314,36 @@ let test_parallel_harvest_errors_identical () =
      check Alcotest.bool "position is whole-file" true
        (contains_sub m1 "entry 2" && contains_sub m1 "line 8")
    | _ -> Alcotest.fail "expected both loads to fail");
-  check Alcotest.int "sequential installs nothing" 0 d1;
-  check Alcotest.int "parallel installs nothing" 0 d4;
+  check Alcotest.int "jobs=1 installs nothing" 0 d1;
+  check Alcotest.int "jobs=4 installs nothing" 0 d4;
   (* an unterminated final entry reports the same error too *)
   let unterminated = String.concat "\n" [ good 1; "ID   2.1.1.1" ] in
   let (u1, _) = harvest_error_at 1 D.Warehouse.enzyme_source unterminated in
   let (u4, _) = harvest_error_at 4 D.Warehouse.enzyme_source unterminated in
   (match (u1, u4) with
    | Error m1, Error m4 -> check Alcotest.string "unterminated entry" m1 m4
-   | _ -> Alcotest.fail "expected both loads to fail")
+   | _ -> Alcotest.fail "expected both loads to fail");
+  (* an entry with no ID line before a malformed one: the whole text is
+     split into entries before any entry is parsed, so the malformed
+     line is the error at every worker count *)
+  let no_id =
+    String.concat "\n"
+      [ "ID   1.1.1.1"; "DE   Enzyme one."; "//"; "DE   Entry without an ID line.";
+        "//"; "ID   3.1.1.1"; "X"; "//" ]
+  in
+  let (n1, nd1) = harvest_error_at 1 D.Warehouse.enzyme_source no_id in
+  let (n4, nd4) = harvest_error_at 4 D.Warehouse.enzyme_source no_id in
+  List.iter
+    (fun (jobs, r, docs) ->
+      (match r with
+       | Error m ->
+         check Alcotest.bool
+           (Printf.sprintf "jobs=%d reports the malformed line: %s" jobs m)
+           true
+           (contains_sub m "flat-file error in entry 2 (line 7)")
+       | Ok _ -> Alcotest.fail (Printf.sprintf "jobs=%d: expected failure" jobs));
+      check Alcotest.int (Printf.sprintf "jobs=%d installs nothing" jobs) 0 docs)
+    [ (1, n1, nd1); (4, n4, nd4) ]
 
 (* ---------------- domain-safety stress ---------------- *)
 
@@ -578,7 +569,6 @@ let () =
   Alcotest.run "concurrency"
     [ ( "pool",
         [ Alcotest.test_case "parallel_map order + size-1" `Quick test_parallel_map;
-          Alcotest.test_case "parallel_chunks ranges" `Quick test_parallel_chunks;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested submission (helping)" `Quick

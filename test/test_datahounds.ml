@@ -694,6 +694,98 @@ let with_temp_dir f =
       if Sys.file_exists dir then ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
     (fun () -> f dir)
 
+(* ---------------- mem vs disk harvests ---------------- *)
+
+let dump_tables wh =
+  let db = D.Warehouse.db wh in
+  String.concat "\n"
+    (List.map
+       (fun sql ->
+         match Rdb.Database.query db sql with
+         | Ok (_, rows) ->
+           String.concat "\n"
+             (List.map
+                (fun row ->
+                  String.concat "|"
+                    (List.map Rdb.Value.to_literal (Array.to_list row)))
+                rows)
+         | Error m -> fail m)
+       [ "SELECT doc_id, collection, name, root_tag FROM xml_doc ORDER BY doc_id";
+         "SELECT path_id, path FROM xml_path ORDER BY path_id";
+         "SELECT doc_id, node_id, parent_id, ord, kind, name, path_id, sval, \
+          nval, is_seq, last_desc FROM xml_node ORDER BY doc_id, node_id";
+         "SELECT doc_id, node_id, word FROM xml_keyword ORDER BY doc_id, \
+          node_id, word" ])
+
+(* The in-memory backend installs a harvest one document at a time, the
+   disk backend spools and bulk-loads it; a batch naming a document twice
+   and a sync go per document on both. After every step the four shred
+   tables must be byte-identical. *)
+let test_mem_disk_identical () =
+  with_temp_dir @@ fun dir ->
+  let u =
+    Workload.Genbio.generate
+      { Workload.Genbio.default_config with
+        seed = 7; n_enzymes = 20; n_embl = 20; n_sprot = 12 }
+  in
+  let mem =
+    (* pinned: the XOMATIQ_STORAGE=disk run must still compare backends *)
+    let prev = Sys.getenv_opt "XOMATIQ_STORAGE" in
+    Unix.putenv "XOMATIQ_STORAGE" "mem";
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "XOMATIQ_STORAGE" (Option.value prev ~default:""))
+      D.Warehouse.create
+  in
+  let disk = D.Warehouse.create ~data_dir:dir () in
+  Fun.protect
+    ~finally:(fun () -> D.Warehouse.close mem; D.Warehouse.close disk)
+  @@ fun () ->
+  check bool "backends differ" true
+    (not (Rdb.Database.is_disk (D.Warehouse.db mem))
+     && Rdb.Database.is_disk (D.Warehouse.db disk));
+  let step what f =
+    List.iter
+      (fun wh ->
+        match f wh with
+        | Ok _ -> ()
+        | Error m -> fail (Printf.sprintf "%s: %s" what m))
+      [ mem; disk ];
+    let dm = dump_tables mem in
+    check bool (what ^ ": tables hold rows") true (String.length dm > 0);
+    check bool (what ^ ": mem and disk tables byte-identical") true
+      (dm = dump_tables disk)
+  in
+  let harvest src text wh = D.Warehouse.harvest wh src text in
+  let embl = D.Warehouse.embl_source ~division:"inv" in
+  step "universe" (fun wh -> Workload.Genbio.load_universe wh u);
+  let u2 =
+    { u with
+      enzymes = Workload.Genbio.mutate_enzymes ~seed:8 ~fraction:0.5 u.enzymes;
+      embl_entries =
+        List.mapi
+          (fun i (e : D.Embl.t) ->
+            if i mod 3 = 0 then { e with description = e.description ^ " revised" }
+            else e)
+          u.embl_entries }
+  in
+  step "second release" (fun wh ->
+      Result.bind
+        (harvest D.Warehouse.enzyme_source (Workload.Genbio.enzyme_flat u2) wh)
+        (fun _ -> harvest embl (Workload.Genbio.embl_flat u2) wh));
+  let enzyme_text = Workload.Genbio.enzyme_flat u2 in
+  step "batch naming every document twice"
+    (harvest D.Warehouse.enzyme_source (enzyme_text ^ enzyme_text));
+  let u3 =
+    { u2 with
+      enzymes =
+        List.filteri (fun i _ -> i mod 4 <> 0)
+          (Workload.Genbio.mutate_enzymes ~seed:9 ~fraction:0.3 u2.enzymes) }
+  in
+  step "sync with remove_missing" (fun wh ->
+      D.Sync.sync_source ~remove_missing:true wh D.Warehouse.enzyme_source
+        (Workload.Genbio.enzyme_flat u3))
+
 let test_remote_publish_poll () =
   with_temp_dir @@ fun dir ->
   let remote = D.Remote.create ~root:dir in
@@ -861,4 +953,7 @@ let () =
          Alcotest.test_case "flat files parse" `Quick test_generator_flat_files_parse;
          Alcotest.test_case "correlations" `Quick test_generator_correlations;
          Alcotest.test_case "load universe" `Quick test_load_universe ]);
+      ("mem-vs-disk",
+       [ Alcotest.test_case "harvests and sync byte-identical" `Quick
+           test_mem_disk_identical ]);
     ]

@@ -548,35 +548,6 @@ let run_rules_exercised () =
         true (n > 0))
     Rdb.Rewrite.rule_names
 
-(* Data Hounds round-trip: a warehouse loaded through the parallel
-   harvest path must be query-indistinguishable from a sequentially
-   loaded one (the byte-level table comparison lives in
-   test_concurrency; this checks the query surface). *)
-let run_jobs_harvest_roundtrip () =
-  let seed = 23 in
-  let u = universe_of seed in
-  let load jobs =
-    Conc.Pool.with_jobs jobs (fun () ->
-        let wh = D.Warehouse.create () in
-        (match Workload.Genbio.load_universe wh u with
-         | Ok () -> ()
-         | Error m -> failwith m);
-        wh)
-  in
-  let wh1 = load 1 and wh4 = load 4 in
-  let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:4 in
-  List.iter
-    (fun (cls, text) ->
-      let name = Workload.Query_mix.class_name cls in
-      let r1 = Xomatiq.Engine.run_text wh1 text in
-      let r4 = Xomatiq.Engine.run_text wh4 text in
-      check rows_testable
-        (Printf.sprintf "%s rows over parallel-loaded warehouse: %s" name text)
-        r1.Xomatiq.Engine.rows r4.Xomatiq.Engine.rows)
-    mix;
-  D.Warehouse.close wh1;
-  D.Warehouse.close wh4
-
 let () =
   Alcotest.run "differential"
     [ ( "query-mix",
@@ -598,9 +569,7 @@ let () =
           Alcotest.test_case "seed 23, jobs=1 vs jobs=4" `Quick
             (run_jobs_determinism 23);
           Alcotest.test_case "seed 47, jobs=1 vs jobs=4" `Quick
-            (run_jobs_determinism 47);
-          Alcotest.test_case "parallel harvest round-trip" `Quick
-            run_jobs_harvest_roundtrip ] );
+            (run_jobs_determinism 47) ] );
       ( "vectorized",
         [ Alcotest.test_case "seed 11, vec=1 vs vec=0 x jobs" `Quick
             (run_vec_determinism 11);

@@ -258,12 +258,10 @@ let with_vec v f =
 
 let test_golden_plans () =
   let wh = Lazy.force loaded_warehouse in
-  (* pin to one worker, the vectorized path, and the adaptive scheduler:
-     the snapshots record the sequential rewritten plans — a multicore
-     run (XOMATIQ_JOBS) would wrap big scans in Exchange, XOMATIQ_VEC=0
-     would skip the rewrite pass, and XOMATIQ_SCHED=static would change
-     the Scheduler footer *)
-  Conc.Sched.with_mode Conc.Sched.Adaptive (fun () ->
+  (* pin to one worker and the vectorized path: the snapshots record
+     the sequential rewritten plans — a multicore run (XOMATIQ_JOBS)
+     would wrap big scans in Exchange, and XOMATIQ_VEC=0 would skip the
+     rewrite pass *)
   Conc.Pool.with_jobs 1 (fun () ->
       with_vec "1" (fun () ->
           List.iter
@@ -271,7 +269,7 @@ let test_golden_plans () =
               golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
             [ ("fig8-keyword", fig8_keyword_query);
               ("fig9-subtree", fig9_subtree_query);
-              ("fig11-join", fig11_join_query) ])))
+              ("fig11-join", fig11_join_query) ]))
 
 (* the three figure queries must actually take the vectorized path: the
    rewrite footer and a fused scan+filter prove the batch executor and

@@ -822,14 +822,11 @@ let test_idle_connection_soak () =
 
 (* Eight concurrent sessions, alternating contains-strategies, each
    running the full workload mix — every response must be byte-identical
-   to the sequential in-process rendering computed up front. Runs under
-   both scheduler modes: adaptive (inline cheap queries, session-memoized
-   preparations) and static (everything dispatched to the pool) must be
-   indistinguishable on the wire — and likewise with xomatiq/1
-   pipelining ([pipelined] sends each session's mix W=8 at a time). *)
-let run_concurrent_differential ?(sched = Conc.Sched.Adaptive)
-    ?(pipelined = false) seed () =
-  Conc.Sched.with_mode sched @@ fun () ->
+   to the sequential in-process rendering computed up front, with cheap
+   queries inline and session-memoized preparations — and likewise with
+   xomatiq/1 pipelining ([pipelined] sends each session's mix W=8 at a
+   time). *)
+let run_concurrent_differential ?(pipelined = false) seed () =
   with_warehouse seed @@ fun wh u ->
   let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:2 in
   let strategies = [ ("keyword", `Keyword_index); ("like", `Like_scan) ] in
@@ -952,10 +949,6 @@ let () =
             (run_concurrent_differential 23);
           Alcotest.test_case "8 clients, seed 47 (adaptive)" `Quick
             (run_concurrent_differential 47);
-          Alcotest.test_case "8 clients, seed 11 (static)" `Quick
-            (run_concurrent_differential ~sched:Conc.Sched.Static 11);
-          Alcotest.test_case "8 clients, seed 47 (static)" `Quick
-            (run_concurrent_differential ~sched:Conc.Sched.Static 47);
           Alcotest.test_case "8 clients, seed 23 (pipelined W=8)" `Quick
             (run_concurrent_differential ~pipelined:true 23);
           Alcotest.test_case "8 clients, seed 47 (pipelined W=8)" `Quick
