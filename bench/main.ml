@@ -645,286 +645,6 @@ let print_e9 () =
   Datahounds.Warehouse.close wh
 
 (* ------------------------------------------------------------------ *)
-(* E7-structural: stack-based containment join vs hash/NLJ baseline    *)
-(* ------------------------------------------------------------------ *)
-
-(* The Fig. 8/9/11 region predicates (doc = doc AND lo < pos <= hi)
-   executed as hash join on doc_id + containment filter before the
-   structural merge join existed; XOMATIQ_STRUCTURAL_JOIN=0 still plans
-   them that way. This sweep times both physical strategies on the same
-   warehouses and checks the results stay equal.
-
-   The scale dimension is region DENSITY, not document count: Genbio's
-   DTDs pin most element multiplicities to one per document, and with a
-   single region per doc the doc_id hash join is already linear — only
-   constant factors differ. ENZYME's catalytic_activity* is unbounded
-   (paper Fig. 6), so the sweep replicates R keyword-bearing CA lines
-   per enzyme entry. Fig. 9's containment then pairs R sibling activity
-   intervals with R keyword positions per document: the hash join emits
-   R^2 candidate pairs per doc and filters them down to R, while the
-   stack-based merge walks both sorted lists once. *)
-
-let with_structural enabled f =
-  Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" (if enabled then "1" else "0");
-  Fun.protect ~finally:(fun () -> Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" "") f
-
-let e7_docs =
-  try int_of_string (Sys.getenv "XOMATIQ_BENCH_E7_DOCS") with Not_found -> 40
-
-let densify r u =
-  let act k =
-    Printf.sprintf "(%d) ATP + a ketone body = ADP + a phospho-ketone" k
-  in
-  let enzymes =
-    List.map
-      (fun (e : Datahounds.Enzyme.t) ->
-        { e with Datahounds.Enzyme.catalytic_activities = List.init r act })
-      u.Workload.Genbio.enzymes
-  in
-  { u with Workload.Genbio.enzymes }
-
-let print_e7_structural () =
-  let scales =
-    if Sys.getenv_opt "XOMATIQ_BENCH_SMOKE" <> None then [ 4 ]
-    else [ 4; 16; 64 ]
-  in
-  print_newline ();
-  Printf.printf
-    "E7-structural: containment merge join vs hash/NLJ baseline (Fig. 8/9/11)\n";
-  Printf.printf "%d enzyme/EMBL/SProt docs; scale = catalytic_activity regions per enzyme doc\n"
-    e7_docs;
-  Printf.printf "%-22s %7s %14s %14s %9s\n" "query" "density" "baseline (ms)"
-    "structural (ms)" "speedup";
-  Printf.printf "%s\n" (String.make 70 '-');
-  let measurements =
-    List.map
-      (fun n ->
-        let wh = build_warehouse (densify n (universe_of e7_docs)) in
-        let per_query =
-          List.map
-            (fun (name, ast) ->
-              let base_rows =
-                with_structural false (fun () -> (Xomatiq.Engine.run wh ast).rows)
-              in
-              let sj_rows =
-                with_structural true (fun () -> (Xomatiq.Engine.run wh ast).rows)
-              in
-              if base_rows <> sj_rows then
-                failwith
-                  (Printf.sprintf
-                     "E7-structural: results diverge on %s at scale %d" name n);
-              let t_base =
-                with_structural false (fun () ->
-                    time_median (fun () -> ignore (Xomatiq.Engine.run wh ast)))
-              in
-              let t_sj =
-                with_structural true (fun () ->
-                    time_median (fun () -> ignore (Xomatiq.Engine.run wh ast)))
-              in
-              Printf.printf "%-22s %7d %14.2f %14.2f %8.2fx\n" name n
-                (ms t_base) (ms t_sj) (t_base /. t_sj);
-              (name, t_base, t_sj))
-            asts
-        in
-        Datahounds.Warehouse.close wh;
-        (n, per_query))
-      scales
-  in
-  (* machine-readable before/after trajectory, keyed per query *)
-  let per_scale which =
-    List.map (fun (n, per_query) ->
-        (n, List.map (fun (name, b, s) -> (name, which b s)) per_query))
-      measurements
-  in
-  let series name rows =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (n, per_query) ->
-             Printf.sprintf "\"%d\": %.6f" n (List.assoc name per_query))
-           rows)
-    ^ "}"
-  in
-  let query_json name =
-    Printf.sprintf
-      "    { \"name\": %S,\n\
-      \      \"baseline_seconds\": %s,\n\
-      \      \"structural_seconds\": %s,\n\
-      \      \"speedup\": %s }"
-      name
-      (series name (per_scale (fun b _ -> b)))
-      (series name (per_scale (fun _ s -> s)))
-      (series name (per_scale (fun b s -> b /. s)))
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"E7-structural\",\n\
-      \  \"generated_by\": \"bench/main.ml\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"baseline\": \"XOMATIQ_STRUCTURAL_JOIN=0 (hash join on doc_id + containment filter)\",\n\
-      \  \"scale_kind\": \"region_density (catalytic_activity elements per enzyme doc)\",\n\
-      \  \"documents\": %d,\n\
-      \  \"scales\": [%s],\n\
-      \  \"queries\": [\n%s\n  ]\n}\n"
-      (Domain.recommended_domain_count ())
-      e7_docs
-      (String.concat ", " (List.map string_of_int scales))
-      (String.concat ",\n"
-         (List.map (fun (name, _) -> query_json name) asts))
-  in
-  let path =
-    match Sys.getenv_opt "XOMATIQ_BENCH_E7_JSON" with
-    | Some p when String.trim p <> "" -> p
-    | _ -> "BENCH_E7.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* E9-vectorized: batch executor + rewrites vs iterator baseline       *)
-(* ------------------------------------------------------------------ *)
-
-(* The vectorized executor (XOMATIQ_VEC=1, the default) runs the same
-   physical plans over 1-4K-row column batches after the rewrite pass;
-   XOMATIQ_VEC=0 is the row-at-a-time iterator reference. This sweep
-   times both at jobs=1 on the E7 density warehouses (Fig. 9's subtree
-   containment, where per-row iterator overhead dominates at high
-   density) and on the E1-E3 figure mix at the default scale, checking
-   results stay equal. *)
-
-let with_vec v f =
-  Unix.putenv "XOMATIQ_VEC" v;
-  Fun.protect ~finally:(fun () -> Unix.putenv "XOMATIQ_VEC" "") f
-
-let print_e9_vectorized () =
-  let scales =
-    if Sys.getenv_opt "XOMATIQ_BENCH_SMOKE" <> None then [ 4 ]
-    else [ 4; 16; 64 ]
-  in
-  print_newline ();
-  Printf.printf
-    "E9-vectorized: batch executor vs iterator baseline (jobs=1)\n";
-  Printf.printf
-    "density sweep: %d enzyme docs, Fig. 9 subtree; mix: %d docs/source\n"
-    e7_docs scale;
-  Printf.printf "%-22s %7s %14s %14s %9s\n" "query" "density"
-    "iterator (ms)" "batch (ms)" "speedup";
-  Printf.printf "%s\n" (String.make 70 '-');
-  let fig9_ast = List.assoc "E2-subtree-fig9" asts in
-  let measure wh ast =
-    Conc.Pool.with_jobs 1 @@ fun () ->
-    let iter_rows = with_vec "0" (fun () -> (Xomatiq.Engine.run wh ast).Xomatiq.Engine.rows) in
-    let batch_rows = with_vec "1" (fun () -> (Xomatiq.Engine.run wh ast).Xomatiq.Engine.rows) in
-    if iter_rows <> batch_rows then
-      failwith "E9-vectorized: batch and iterator results diverge";
-    (* the figure queries run in single-digit milliseconds, so a median
-       of 3 back-to-back runs is noise-bound on a busy host — and
-       measuring one executor wholly before the other hands the second
-       a heap the first just grew. Interleave the samples (one iterator
-       run, one batch run, repeated) and take each side's median. *)
-    let sample vec k =
-      with_vec vec (fun () ->
-          (* start every sample from the same heap state: collecting
-             up front keeps the major-GC debt of warehouse construction
-             (and of the previous sample) from being charged to
-             whichever run it would otherwise land on *)
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to k do
-            ignore (Xomatiq.Engine.run wh ast)
-          done;
-          (Unix.gettimeofday () -. t0) /. float_of_int k)
-    in
-    (* block size: enough back-to-back runs per sample that one sample
-       spans ~2ms of work — the sub-millisecond mix queries measured one
-       run at a time are dominated by timer quantization and whichever
-       run a minor GC lands on *)
-    let approx = min (sample "0" 1) (sample "1" 1) in
-    let k = max 1 (min 32 (int_of_float (ceil (0.002 /. max 1e-6 approx)))) in
-    let pairs = List.init 9 (fun _ -> (sample "0" k, sample "1" k)) in
-    (* both executors are deterministic, so the fastest observed sample
-       is the one least contaminated by scheduler/GC noise *)
-    let best l = List.fold_left min infinity l in
-    (best (List.map fst pairs), best (List.map snd pairs))
-  in
-  let density_rows =
-    List.map
-      (fun n ->
-        let wh = build_warehouse (densify n (universe_of e7_docs)) in
-        let t_iter, t_batch = measure wh fig9_ast in
-        Printf.printf "%-22s %7d %14.2f %14.2f %8.2fx\n" "E2-subtree-fig9" n
-          (ms t_iter) (ms t_batch) (t_iter /. t_batch);
-        Datahounds.Warehouse.close wh;
-        (n, t_iter, t_batch))
-      scales
-  in
-  let mix_rows =
-    List.map
-      (fun (name, ast) ->
-        let t_iter, t_batch = measure warehouse ast in
-        Printf.printf "%-22s %7s %14.2f %14.2f %8.2fx\n" name "mix"
-          (ms t_iter) (ms t_batch) (t_iter /. t_batch);
-        (name, t_iter, t_batch))
-      asts
-  in
-  let series which =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (n, i, b) -> Printf.sprintf "\"%d\": %.6f" n (which i b))
-           density_rows)
-    ^ "}"
-  in
-  let mix_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, i, b) ->
-           Printf.sprintf
-             "    { \"name\": %S, \"iterator_seconds\": %.6f, \
-              \"batch_seconds\": %.6f, \"speedup\": %.3f }"
-             name i b (i /. b))
-         mix_rows)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"E9-vectorized\",\n\
-      \  \"generated_by\": \"bench/main.ml\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"baseline\": \"XOMATIQ_VEC=0 (row-at-a-time iterator executor)\",\n\
-      \  \"jobs\": 1,\n\
-      \  \"documents\": %d,\n\
-      \  \"scales\": [%s],\n\
-      \  \"density_sweep\": {\n\
-      \    \"query\": \"E2-subtree-fig9\",\n\
-      \    \"iterator_seconds\": %s,\n\
-      \    \"batch_seconds\": %s,\n\
-      \    \"speedup\": %s\n\
-      \  },\n\
-      \  \"mix_scale\": %d,\n\
-      \  \"mix\": [\n%s\n  ]\n}\n"
-      (Domain.recommended_domain_count ())
-      e7_docs
-      (String.concat ", " (List.map string_of_int scales))
-      (series (fun i _ -> i))
-      (series (fun _ b -> b))
-      (series (fun i b -> i /. b))
-      scale mix_json
-  in
-  let path =
-    match Sys.getenv_opt "XOMATIQ_BENCH_E9_JSON" with
-    | Some p when String.trim p <> "" -> p
-    | _ -> "BENCH_E9.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* E8-throughput: the gRNA service layer under concurrent load         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1871,7 +1591,7 @@ let print_e11_replication () =
    once at whatever (small) scale the environment sets. *)
 let smoke = Sys.getenv_opt "XOMATIQ_BENCH_SMOKE" <> None
 
-(* XOMATIQ_BENCH_ONLY=E7-structural (etc.) runs one experiment in
+(* XOMATIQ_BENCH_ONLY=E10-outofcore (etc.) runs one experiment in
    isolation — refreshing one BENCH_*.json without the full suite. *)
 let only = Sys.getenv_opt "XOMATIQ_BENCH_ONLY"
 
@@ -1880,10 +1600,8 @@ let () =
   | Some name ->
     (match String.lowercase_ascii (String.trim name) with
      | "e6-scaling" -> print_e6_scaling ()
-     | "e7-structural" -> print_e7_structural ()
      | "e8-throughput" -> print_e8_throughput ()
      | "e9" -> print_e9 ()
-     | "e9-vectorized" -> print_e9_vectorized ()
      | "e10-outofcore" -> print_e10_outofcore ()
      | "e11-replication" -> print_e11_replication ()
      | other -> failwith ("unknown XOMATIQ_BENCH_ONLY experiment: " ^ other))
@@ -1895,9 +1613,7 @@ let () =
     print_e5_cache ();
     (* exercise the parallel scan/join paths even at smoke scale *)
     print_e6_scaling ();
-    print_e7_structural ();
     print_e8_throughput ();
-    print_e9_vectorized ();
     print_e10_outofcore ();
     print_newline ();
     print_endline "Smoke OK."
@@ -1915,11 +1631,9 @@ let () =
     print_e6_sweep ();
     print_e6_scaling ();
     print_e7 ();
-    print_e7_structural ();
     print_e8 ();
     print_e8_throughput ();
     print_e9 ();
-    print_e9_vectorized ();
     print_e10_outofcore ();
     print_e11_replication ();
     print_newline ();

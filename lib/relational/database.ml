@@ -637,18 +637,15 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
        s.s_txn <- None;
        Done "rolled back")
   | Explain inner ->
-    (* EXPLAIN shows the plan the executor will actually run: when the
-       vectorized path is on, that is the rewritten plan, with fired
-       rewrite rules per node ([fused=…]) and summarised in a footer. *)
+    (* EXPLAIN shows the plan the executor will actually run: the
+       rewritten plan, with fired rewrite rules per node ([fused=…]) and
+       summarised in a footer. *)
     let explained (planned : Planner.planned) =
       let ests = Cost.estimate t.cat planned.plan in
-      let vec = Rewrite.enabled () in
-      let annot node =
-        Cost.annotation ests node ^ (if vec then Rewrite.node_tag node else "")
-      in
+      let annot node = Cost.annotation ests node ^ Rewrite.node_tag node in
       Explained
         (Plan.to_string ~annot planned.plan
-         ^ (if vec then Rewrite.footer planned.rewrites else "")
+         ^ Rewrite.footer planned.rewrites
          ^ sched_footer planned)
     in
     (match inner with
@@ -678,11 +675,10 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
       List.of_seq (Executor.run t.cat ~obs ~view planned.plan)
     in
     let elapsed_ms = (Obs.now_s () -. t0) *. 1000. in
-    let vec = Rewrite.enabled () in
     (* estimate-vs-actual, side by side on every node *)
     let annot node =
       Cost.annotation ests node ^ Obs.annotation obs node
-      ^ (if vec then Rewrite.node_tag node else "")
+      ^ Rewrite.node_tag node
     in
     (* buffer-pool traffic of this query; only printed in disk mode so
        in-memory EXPLAIN ANALYZE output is unchanged *)
@@ -698,7 +694,7 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
     in
     Explained
       (Plan.to_string ~annot planned.plan
-       ^ (if vec then Rewrite.footer planned.rewrites else "")
+       ^ Rewrite.footer planned.rewrites
        ^ sched_footer planned
        ^ storage_line
        ^ Printf.sprintf

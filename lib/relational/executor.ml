@@ -62,7 +62,7 @@ let exchange_pool ~workers : Conc.Pool.t option =
       None
   end
 
-(* Build table of the vectorized hash join. When the join key is a
+(* Build table of the hash join. When the join key is a
    single column that stayed unboxed on the build side, the table keys
    on raw ints so neither build nor probe ever allocates a Value. *)
 type hj_tbl =
@@ -269,14 +269,10 @@ let probe = function
   | Some (s : Obs.op_stats) -> s.probes <- s.probes + 1
   | None -> ()
 
-let built = function
-  | Some (s : Obs.op_stats) -> s.build_rows <- s.build_rows + 1
-  | None -> ()
-
 (* ---------------- structural merge core ----------------
 
-   The stack-based interval-containment merge, shared by the iterator
-   and vectorized executors. The int fast path works on
+   The stack-based interval-containment merge behind
+   [Structural_join]. The int fast path works on
    structure-of-arrays keys (parallel [int array]s for doc / lo / hi /
    original index) so sorting permutes unboxed columns and the sweep
    allocates nothing per row; the generic path keeps
@@ -697,542 +693,12 @@ let structural_exchange_pool (left : Plan.t) (right : Plan.t) =
     exchange_pool ~workers
   | _ -> None
 
-let rec eval ctx row (e : Plan.cexpr) : Value.t =
-  match e with
-  | CLit v -> v
-  | CCol i ->
-    if i < 0 || i >= Array.length row then error "column slot %d out of range" i
-    else row.(i)
-  | CParam i ->
-    if i < 0 || i >= Array.length ctx.params then error "parameter slot %d out of range" i
-    else ctx.params.(i)
-  | CBinop (op, a, b) ->
-    (match op with
-     | Add | Sub | Mul | Div | Mod -> numeric_binop op (eval ctx row a) (eval ctx row b)
-     | Concat ->
-       (match eval ctx row a, eval ctx row b with
-        | Value.Null, _ | _, Value.Null -> Value.Null
-        | va, vb -> Value.Text (Value.to_string va ^ Value.to_string vb))
-     | And -> and3 (eval ctx row a) (eval ctx row b)
-     | Or -> or3 (eval ctx row a) (eval ctx row b)
-     | Eq | Neq | Lt | Le | Gt | Ge ->
-       comparison_binop op (eval ctx row a) (eval ctx row b))
-  | CUnop (Neg, e) ->
-    (match eval ctx row e with
-     | Value.Int i -> Value.Int (-i)
-     | Value.Float f -> Value.Float (-.f)
-     | Value.Null -> Value.Null
-     | v -> error "cannot negate %s" (Value.to_literal v))
-  | CUnop (Not, e) -> not3 (eval ctx row e)
-  | CFn (name, args) -> scalar_fn name (List.map (eval ctx row) args)
-  | CLike { subject; pattern; escape; negated } ->
-    (match eval ctx row subject, eval ctx row pattern with
-     | Value.Null, _ | _, Value.Null -> Value.Null
-     | s, p ->
-       (* SQL semantics: a NULL escape makes the whole predicate NULL;
-          a non-NULL escape must be a single character *)
-       let esc = Option.map (eval ctx row) escape in
-       (match esc with
-        | Some Value.Null -> Value.Null
-        | _ ->
-          let escape =
-            match esc with
-            | None -> None
-            | Some v ->
-              let e = Value.to_string v in
-              if String.length e = 1 then Some e.[0]
-              else error "ESCAPE expression must be a single character, got %S" e
-          in
-          let r =
-            like_match ?escape ~pattern:(Value.to_string p) (Value.to_string s)
-          in
-          Value.Bool (if negated then not r else r)))
-  | CIn_list { subject; candidates; negated } ->
-    let v = eval ctx row subject in
-    if v = Value.Null then Value.Null
-    else begin
-      let found = ref false and saw_null = ref false in
-      List.iter
-        (fun c ->
-          let cv = eval ctx row c in
-          if cv = Value.Null then saw_null := true
-          else if Value.equal v cv then found := true)
-        candidates;
-      if !found then Value.Bool (not negated)
-      else if !saw_null then Value.Null
-      else Value.Bool negated
-    end
-  | CIs_null { subject; negated } ->
-    let isnull = eval ctx row subject = Value.Null in
-    Value.Bool (if negated then not isnull else isnull)
-  | CBetween { subject; low; high; negated } ->
-    let v = eval ctx row subject in
-    let lo = comparison_binop Sql_ast.Ge v (eval ctx row low) in
-    let hi = comparison_binop Sql_ast.Le v (eval ctx row high) in
-    let r = and3 lo hi in
-    if negated then not3 r else r
-  | CCase { branches; else_ } ->
-    let rec pick = function
-      | [] -> (match else_ with Some e -> eval ctx row e | None -> Value.Null)
-      | (cond, result) :: rest ->
-        if Value.is_truthy (eval ctx row cond) then eval ctx row result else pick rest
-    in
-    pick branches
-  | CIn_plan { subject; plan; negated } ->
-    let v = eval ctx row subject in
-    if v = Value.Null then Value.Null
-    else begin
-      let found = ref false and saw_null = ref false in
-      Seq.iter
-        (fun r ->
-          let cv = if Array.length r = 0 then Value.Null else r.(0) in
-          if cv = Value.Null then saw_null := true
-          else if Value.equal v cv then found := true)
-        (run_sub ctx row plan);
-      if !found then Value.Bool (not negated)
-      else if !saw_null then Value.Null
-      else Value.Bool negated
-    end
-  | CExists_plan { plan; negated } ->
-    let nonempty = not (Seq.is_empty (run_sub ctx row plan)) in
-    Value.Bool (if negated then not nonempty else nonempty)
-  | CScalar_plan plan ->
-    (match (run_sub ctx row plan) () with
-     | Seq.Nil -> Value.Null
-     | Seq.Cons (r, rest) ->
-       (match rest () with
-        | Seq.Nil -> if Array.length r = 0 then Value.Null else r.(0)
-        | Seq.Cons _ -> error "scalar subquery returned more than one row"))
+(* ---------------- batch executor ----------------
 
-(* A subplan sees the current outer row as its parameter vector, appended
-   after the parameters already in scope (for doubly-nested correlation the
-   planner numbers slots accordingly). *)
-and run_sub ctx outer_row plan =
-  run_plan { ctx with params = Array.append ctx.params outer_row } plan
-
-and truthy ctx row = function
-  | None -> true
-  | Some f -> Value.is_truthy (eval ctx row f)
-
-and scan_table ctx name =
-  match Catalog.find_table ctx.catalog name with
-  | Some t -> t
-  | None -> error "no such table %S" name
-
-(* Check the query's cancellation token at every operator boundary: each
-   step of every operator's output sequence consults the token, so a
-   fired token (timeout, client CANCEL) aborts within one row pull even
-   deep inside a blocking sort/aggregate/hash-build that is draining its
-   input. *)
-and guarded token seq =
-  let rec go seq () =
-    Cancel.check token;
-    match seq () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (x, rest) -> Seq.Cons (x, go rest)
-  in
-  go seq
-
-(* Attach the operator's stats slot (if profiling) so rows and wall time
-   are charged as the sequence is pulled; probe/build counts are recorded
-   inside [run_plan_raw] where the events happen. *)
-and run_plan ctx (plan : Plan.t) : Value.t array Seq.t =
-  let rows =
-    match ctx.obs with
-    | None -> run_plan_raw ctx None plan
-    | Some profile ->
-      (match Obs.find profile plan with
-       | None -> run_plan_raw ctx None plan
-       | Some st -> Obs.observed st (run_plan_raw ctx (Some st) plan))
-  in
-  match ctx.cancel with
-  | None -> rows
-  | Some token -> guarded token rows
-
-and run_plan_raw ctx st (plan : Plan.t) : Value.t array Seq.t =
-  match plan with
-  | Single_row -> Seq.return [||]
-  | Seq_scan { table; filter; part } ->
-    let t = scan_table ctx table in
-    let rows =
-      match ctx.view, part with
-      | None, None -> Seq.map snd (Table.scan t)
-      | None, Some (i, n) -> Seq.map snd (Table.scan_part t ~index:i ~parts:n)
-      | Some snap, None -> Seq.map snd (Table.scan_at t snap)
-      | Some snap, Some (i, n) ->
-        Seq.map snd (Table.scan_part_at t snap ~index:i ~parts:n)
-    in
-    (match filter with
-     | None -> rows
-     | Some f -> Seq.filter (fun row -> Value.is_truthy (eval ctx row f)) rows)
-  | Index_lookup { table; index; key; filter } ->
-    let t = scan_table ctx table in
-    let idx =
-      match Table.find_index t index with
-      | Some i -> i
-      | None -> error "no such index %S on table %S" index table
-    in
-    fun () ->
-      let keyv = Array.map (eval ctx [||]) key in
-      probe st;
-      let rows =
-        match ctx.view with
-        | None ->
-          List.filter_map
-            (fun id ->
-              match Table.get t id with
-              | Some row when truthy ctx row filter -> Some row
-              | _ -> None)
-            (Index.lookup idx keyv)
-        | Some snap ->
-          List.filter
-            (fun row -> truthy ctx row filter)
-            (Table.lookup_at t snap idx keyv)
-      in
-      (List.to_seq rows) ()
-  | Index_range { table; index; lo; hi; filter } ->
-    let t = scan_table ctx table in
-    let idx =
-      match Table.find_index t index with
-      | Some i -> i
-      | None -> error "no such index %S on table %S" index table
-    in
-    fun () ->
-      let bound = Option.map (fun (k, incl) -> (Array.map (eval ctx [||]) k, incl)) in
-      probe st;
-      (match ctx.view with
-       | None ->
-         let ids = Index.range ?lo:(bound lo) ?hi:(bound hi) idx in
-         (Seq.filter_map
-            (fun id ->
-              match Table.get t id with
-              | Some row when truthy ctx row filter -> Some row
-              | _ -> None)
-            ids)
-           ()
-       | Some snap ->
-         (List.to_seq
-            (List.filter
-               (fun row -> truthy ctx row filter)
-               (Table.range_at t snap idx ?lo:(bound lo) ?hi:(bound hi) ())))
-           ())
-  | Filter (f, input) ->
-    Seq.filter (fun row -> Value.is_truthy (eval ctx row f)) (run_plan ctx input)
-  | Project (exprs, input) ->
-    Seq.map (fun row -> Array.map (eval ctx row) exprs) (run_plan ctx input)
-  | Nested_loop_join { left; right; cond; left_outer; right_arity } ->
-    let nulls = Array.make right_arity Value.Null in
-    Seq.concat_map
-      (fun lrow ->
-        let matches =
-          Seq.filter_map
-            (fun rrow ->
-              let joined = Array.append lrow rrow in
-              if truthy ctx joined cond then Some joined else None)
-            (run_plan ctx right)
-        in
-        if left_outer then (
-          fun () ->
-            match matches () with
-            | Seq.Nil -> Seq.Cons (Array.append lrow nulls, Seq.empty)
-            | cons -> cons)
-        else matches)
-      (run_plan ctx left)
-  | Hash_join { left; right; left_keys; right_keys; cond; left_outer; right_arity } ->
-    let nulls = Array.make right_arity Value.Null in
-    fun () ->
-      (* build on the right; an Exchange build side is partitioned across
-         domains into per-domain partial tables, then merged *)
-      let build_seq () =
-        let tbl = KeyTbl.create 256 in
-        Seq.iter
-          (fun rrow ->
-            let k = Array.map (eval ctx rrow) right_keys in
-            if not (Array.exists (fun v -> v = Value.Null) k) then begin
-              built st;
-              KeyTbl.replace tbl k
-                (rrow :: (match KeyTbl.find_opt tbl k with Some l -> l | None -> []))
-            end)
-          (run_plan ctx right);
-        tbl
-      in
-      let build_par pool inputs =
-          (* key evaluation is pure; each domain fills its own table *)
-          let locals =
-            Conc.Pool.parallel_map pool
-              (fun p ->
-                let local = KeyTbl.create 256 in
-                let count = ref 0 in
-                Seq.iter
-                  (fun rrow ->
-                    let k = Array.map (eval ctx rrow) right_keys in
-                    if not (Array.exists (fun v -> v = Value.Null) k) then begin
-                      incr count;
-                      KeyTbl.replace local k
-                        (rrow
-                         :: (match KeyTbl.find_opt local k with
-                             | Some l -> l
-                             | None -> []))
-                    end)
-                  (run_plan ctx p);
-                (local, !count))
-              inputs
-          in
-          let tbl = KeyTbl.create 256 in
-          (* merging ascending partitions by prepending each local bucket
-             leaves every bucket in the exact cons order a sequential
-             build over the concatenated stream would produce, so the
-             probe phase emits matches in the same order *)
-          List.iter
-            (fun (local, count) ->
-              (match st with
-               | Some s -> s.build_rows <- s.build_rows + count
-               | None -> ());
-              KeyTbl.iter
-                (fun k l ->
-                  KeyTbl.replace tbl k
-                    (l @ (match KeyTbl.find_opt tbl k with Some g -> g | None -> [])))
-                local)
-            locals;
-          tbl
-      in
-      let tbl =
-        match right with
-        | Plan.Exchange { inputs; workers } -> (
-          match exchange_pool ~workers with
-          | Some pool -> build_par pool inputs
-          | None -> build_seq ())
-        | _ -> build_seq ()
-      in
-      (Seq.concat_map
-         (fun lrow ->
-           let k = Array.map (eval ctx lrow) left_keys in
-           let matches =
-             if Array.exists (fun v -> v = Value.Null) k then []
-             else match KeyTbl.find_opt tbl k with
-               | Some l ->
-                 List.filter_map
-                   (fun rrow ->
-                     let joined = Array.append lrow rrow in
-                     if truthy ctx joined cond then Some joined else None)
-                   (List.rev l)
-               | None -> []
-           in
-           match matches, left_outer with
-           | [], true -> Seq.return (Array.append lrow nulls)
-           | ms, _ -> List.to_seq ms)
-         (run_plan ctx left))
-        ()
-  | Sort (keys, input) ->
-    fun () ->
-      let rows = List.of_seq (run_plan ctx input) in
-      let cmp a b =
-        let rec go i =
-          if i >= Array.length keys then 0
-          else
-            let e, dir = keys.(i) in
-            let c = Value.compare_total (eval ctx a e) (eval ctx b e) in
-            let c = match dir with Sql_ast.Asc -> c | Sql_ast.Desc -> -c in
-            if c <> 0 then c else go (i + 1)
-        in
-        go 0
-      in
-      (List.to_seq (List.stable_sort cmp rows)) ()
-  | Aggregate { group_by; aggs; input } ->
-    fun () -> (run_aggregate ctx group_by aggs (run_plan ctx input)) ()
-  | Distinct input ->
-    fun () ->
-      let seen = KeyTbl.create 256 in
-      (Seq.filter
-         (fun row ->
-           if KeyTbl.mem seen row then false
-           else begin
-             KeyTbl.add seen row ();
-             true
-           end)
-         (run_plan ctx input))
-        ()
-  | Union_all inputs ->
-    Seq.concat_map (fun input -> run_plan ctx input) (List.to_seq inputs)
-  | Limit { limit; offset; input } ->
-    let rows = run_plan ctx input in
-    let rows = match offset with Some n -> Seq.drop n rows | None -> rows in
-    (match limit with Some n -> Seq.take n rows | None -> rows)
-  | Exchange { inputs; workers } ->
-    fun () ->
-      (match exchange_pool ~workers with
-       | None -> Seq.concat_map (run_plan ctx) (List.to_seq inputs) ()
-       | Some pool ->
-         (* each domain materialises its own partition; concatenating in
-            input order reproduces the unpartitioned stream exactly *)
-         let parts =
-           Conc.Pool.parallel_map pool
-             (fun p -> List.of_seq (run_plan ctx p))
-             inputs
-         in
-         Seq.concat_map List.to_seq (List.to_seq parts) ())
-  | Structural_join
-      { left; right; interval_on_left; left_doc; right_doc; lo; hi; pos;
-        lo_incl; hi_incl; cond; right_arity = _ } ->
-    fun () ->
-      (* Stack-based interval containment merge join. Both inputs are
-         materialised once and tagged with their stream position, so the
-         matched pairs can be re-merged into the exact left-major order
-         the equivalent nested-loop/hash plan emits. *)
-      let lrows = Array.of_seq (run_plan ctx left) in
-      let rrows = Array.of_seq (run_plan ctx right) in
-      (match st with
-       | Some s ->
-         s.build_rows <- s.build_rows + Array.length lrows + Array.length rrows
-       | None -> ());
-      let ivl_rows, ivl_doc =
-        if interval_on_left then (lrows, left_doc) else (rrows, right_doc)
-      in
-      let pt_rows, pt_doc =
-        if interval_on_left then (rrows, right_doc) else (lrows, left_doc)
-      in
-      (* join keys extracted once; a NULL key never matches (inner join) *)
-      let intervals =
-        let acc = ref [] in
-        Array.iteri
-          (fun i row ->
-            let d = eval ctx row ivl_doc in
-            let l = eval ctx row lo in
-            let h = eval ctx row hi in
-            if d <> Value.Null && l <> Value.Null && h <> Value.Null then
-              acc := (d, l, h, i) :: !acc)
-          ivl_rows;
-        Array.of_list (List.rev !acc)
-      in
-      let points =
-        let acc = ref [] in
-        Array.iteri
-          (fun j row ->
-            let d = eval ctx row pt_doc in
-            let v = eval ctx row pos in
-            if d <> Value.Null && v <> Value.Null then acc := (d, v, j) :: !acc)
-          pt_rows;
-        Array.of_list (List.rev !acc)
-      in
-      let par = structural_exchange_pool left right in
-      let all_pairs =
-        structural_pairs ~par ~lo_incl ~hi_incl intervals points
-      in
-      let li, ri =
-        structural_lr_pairs ~interval_on_left ~n_left:(Array.length lrows)
-          ~n_right:(Array.length rrows) all_pairs
-      in
-      (match st with
-       | Some s -> s.probes <- s.probes + Array.length li
-       | None -> ());
-      (Seq.filter_map
-         (fun k ->
-           let joined = Array.append lrows.(li.(k)) rrows.(ri.(k)) in
-           if truthy ctx joined cond then Some joined else None)
-         (Seq.init (Array.length li) (fun k -> k)))
-        ()
-
-and run_aggregate ctx group_by aggs (input : Value.t array Seq.t) =
-  let module Acc = struct
-    type t = {
-      mutable count : int;              (* rows where arg is non-null (or all rows for COUNT star) *)
-      mutable sum_i : int;
-      mutable sum_f : float;
-      mutable saw_float : bool;
-      mutable min_v : Value.t;
-      mutable max_v : Value.t;
-      mutable distinct_seen : unit KeyTbl.t option;
-    }
-  end in
-  let make_acc (spec : Plan.agg_spec) =
-    { Acc.count = 0; sum_i = 0; sum_f = 0.; saw_float = false;
-      min_v = Value.Null; max_v = Value.Null;
-      distinct_seen = if spec.agg_distinct then Some (KeyTbl.create 16) else None }
-  in
-  let update (spec : Plan.agg_spec) (acc : Acc.t) row =
-    let v = match spec.agg_arg with
-      | None -> Value.Bool true  (* COUNT star counts every row *)
-      | Some e -> eval ctx row e
-    in
-    let count_it =
-      match spec.agg_arg with
-      | None -> true
-      | Some _ ->
-        if v = Value.Null then false
-        else begin
-          match acc.distinct_seen with
-          | Some seen ->
-            let k = [| v |] in
-            if KeyTbl.mem seen k then false
-            else begin
-              KeyTbl.add seen k ();
-              true
-            end
-          | None -> true
-        end
-    in
-    if count_it then begin
-      acc.count <- acc.count + 1;
-      (match v with
-       | Value.Int i ->
-         acc.sum_i <- acc.sum_i + i;
-         acc.sum_f <- acc.sum_f +. float_of_int i
-       | Value.Float f ->
-         acc.saw_float <- true;
-         acc.sum_f <- acc.sum_f +. f
-       | _ -> ());
-      if acc.min_v = Value.Null || Value.compare_total v acc.min_v < 0 then acc.min_v <- v;
-      if acc.max_v = Value.Null || Value.compare_total v acc.max_v > 0 then acc.max_v <- v
-    end
-  in
-  let finish (spec : Plan.agg_spec) (acc : Acc.t) =
-    match spec.agg_fn with
-    | Sql_ast.Count -> Value.Int acc.count
-    | Sql_ast.Sum ->
-      if acc.count = 0 then Value.Null
-      else if acc.saw_float then Value.Float acc.sum_f
-      else Value.Int acc.sum_i
-    | Sql_ast.Avg ->
-      if acc.count = 0 then Value.Null
-      else Value.Float (acc.sum_f /. float_of_int acc.count)
-    | Sql_ast.Min -> acc.min_v
-    | Sql_ast.Max -> acc.max_v
-  in
-  let groups : (Value.t array * Acc.t array) KeyTbl.t = KeyTbl.create 64 in
-  let order = ref [] in
-  Seq.iter
-    (fun row ->
-      let key = Array.map (eval ctx row) group_by in
-      let _, accs =
-        match KeyTbl.find_opt groups key with
-        | Some entry -> entry
-        | None ->
-          let entry = (key, Array.map make_acc aggs) in
-          KeyTbl.add groups key entry;
-          order := key :: !order;
-          entry
-      in
-      Array.iteri (fun i spec -> update spec accs.(i) row) aggs)
-    input;
-  let keys_in_order = List.rev !order in
-  let emit key =
-    let key_vals, accs = KeyTbl.find groups key in
-    Array.append key_vals (Array.mapi (fun i spec -> finish spec accs.(i)) aggs)
-  in
-  if group_by = [||] && keys_in_order = [] then
-    (* global aggregate over an empty input still yields one row *)
-    Seq.return (Array.map (fun spec -> finish spec (make_acc spec)) aggs)
-  else List.to_seq (List.map emit keys_in_order)
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized (batch) executor                                         *)
-(*                                                                     *)
-(* Operators exchange Batch.t column batches instead of single rows.   *)
-(* Row order, NULL handling, error behaviour and the per-operator Obs  *)
-(* counters all mirror the iterator executor above — the differential  *)
-(* harness holds the two byte-identical. Expression subplans always    *)
-(* run through the iterator path ([eval] is shared).                   *)
-(* ------------------------------------------------------------------ *)
+   Operators exchange [Batch.t] column batches. [eval] works on one
+   boxed row; the subplans it reaches (IN, EXISTS and scalar subqueries)
+   run through [run_batches] too, so [eval] and the operators form one
+   recursive group. *)
 
 (* Cancellation at batch granularity: a fired token aborts within one
    batch pull. *)
@@ -1296,8 +762,8 @@ let narrow_batch b rev_kept n =
    expressions — those fall back to row-at-a-time [eval]. Comparisons of
    an unboxed column against an Int constant run on raw ints (the SQL
    order on Int IS the int order); every other operand shape defers to
-   [comparison_binop], which never raises, so kernels preserve the
-   iterator's error behaviour exactly (only the column-bounds check can
+   [comparison_binop], which never raises, so kernels preserve
+   [eval]'s error behaviour exactly (only the column-bounds check can
    raise, and it fires per batch — i.e. only when at least one row
    exists, just as [eval] would on the first row). *)
 let vec_kernel ctx (e : Plan.cexpr) : (Batch.t -> int -> bool) option =
@@ -1417,9 +883,224 @@ let vec_kernel ctx (e : Plan.cexpr) : (Batch.t -> int -> bool) option =
   in
   kern e
 
+let rec eval ctx row (e : Plan.cexpr) : Value.t =
+  match e with
+  | CLit v -> v
+  | CCol i ->
+    if i < 0 || i >= Array.length row then error "column slot %d out of range" i
+    else row.(i)
+  | CParam i ->
+    if i < 0 || i >= Array.length ctx.params then error "parameter slot %d out of range" i
+    else ctx.params.(i)
+  | CBinop (op, a, b) ->
+    (match op with
+     | Add | Sub | Mul | Div | Mod -> numeric_binop op (eval ctx row a) (eval ctx row b)
+     | Concat ->
+       (match eval ctx row a, eval ctx row b with
+        | Value.Null, _ | _, Value.Null -> Value.Null
+        | va, vb -> Value.Text (Value.to_string va ^ Value.to_string vb))
+     | And -> and3 (eval ctx row a) (eval ctx row b)
+     | Or -> or3 (eval ctx row a) (eval ctx row b)
+     | Eq | Neq | Lt | Le | Gt | Ge ->
+       comparison_binop op (eval ctx row a) (eval ctx row b))
+  | CUnop (Neg, e) ->
+    (match eval ctx row e with
+     | Value.Int i -> Value.Int (-i)
+     | Value.Float f -> Value.Float (-.f)
+     | Value.Null -> Value.Null
+     | v -> error "cannot negate %s" (Value.to_literal v))
+  | CUnop (Not, e) -> not3 (eval ctx row e)
+  | CFn (name, args) -> scalar_fn name (List.map (eval ctx row) args)
+  | CLike { subject; pattern; escape; negated } ->
+    (match eval ctx row subject, eval ctx row pattern with
+     | Value.Null, _ | _, Value.Null -> Value.Null
+     | s, p ->
+       (* SQL semantics: a NULL escape makes the whole predicate NULL;
+          a non-NULL escape must be a single character *)
+       let esc = Option.map (eval ctx row) escape in
+       (match esc with
+        | Some Value.Null -> Value.Null
+        | _ ->
+          let escape =
+            match esc with
+            | None -> None
+            | Some v ->
+              let e = Value.to_string v in
+              if String.length e = 1 then Some e.[0]
+              else error "ESCAPE expression must be a single character, got %S" e
+          in
+          let r =
+            like_match ?escape ~pattern:(Value.to_string p) (Value.to_string s)
+          in
+          Value.Bool (if negated then not r else r)))
+  | CIn_list { subject; candidates; negated } ->
+    let v = eval ctx row subject in
+    if v = Value.Null then Value.Null
+    else begin
+      let found = ref false and saw_null = ref false in
+      List.iter
+        (fun c ->
+          let cv = eval ctx row c in
+          if cv = Value.Null then saw_null := true
+          else if Value.equal v cv then found := true)
+        candidates;
+      if !found then Value.Bool (not negated)
+      else if !saw_null then Value.Null
+      else Value.Bool negated
+    end
+  | CIs_null { subject; negated } ->
+    let isnull = eval ctx row subject = Value.Null in
+    Value.Bool (if negated then not isnull else isnull)
+  | CBetween { subject; low; high; negated } ->
+    let v = eval ctx row subject in
+    let lo = comparison_binop Sql_ast.Ge v (eval ctx row low) in
+    let hi = comparison_binop Sql_ast.Le v (eval ctx row high) in
+    let r = and3 lo hi in
+    if negated then not3 r else r
+  | CCase { branches; else_ } ->
+    let rec pick = function
+      | [] -> (match else_ with Some e -> eval ctx row e | None -> Value.Null)
+      | (cond, result) :: rest ->
+        if Value.is_truthy (eval ctx row cond) then eval ctx row result else pick rest
+    in
+    pick branches
+  | CIn_plan { subject; plan; negated } ->
+    let v = eval ctx row subject in
+    if v = Value.Null then Value.Null
+    else begin
+      let found = ref false and saw_null = ref false in
+      Seq.iter
+        (fun r ->
+          let cv = if Array.length r = 0 then Value.Null else r.(0) in
+          if cv = Value.Null then saw_null := true
+          else if Value.equal v cv then found := true)
+        (run_sub ctx row plan);
+      if !found then Value.Bool (not negated)
+      else if !saw_null then Value.Null
+      else Value.Bool negated
+    end
+  | CExists_plan { plan; negated } ->
+    let nonempty = not (Seq.is_empty (run_sub ctx row plan)) in
+    Value.Bool (if negated then not nonempty else nonempty)
+  | CScalar_plan plan ->
+    (match (run_sub ctx row plan) () with
+     | Seq.Nil -> Value.Null
+     | Seq.Cons (r, rest) ->
+       (match rest () with
+        | Seq.Nil -> if Array.length r = 0 then Value.Null else r.(0)
+        | Seq.Cons _ -> error "scalar subquery returned more than one row"))
+
+(* A subplan sees the current outer row as its parameter vector, appended
+   after the parameters already in scope (for doubly-nested correlation the
+   planner numbers slots accordingly). *)
+and run_sub ctx outer_row plan =
+  Batch.to_row_seq
+    (run_batches { ctx with params = Array.append ctx.params outer_row } plan)
+
+and truthy ctx row = function
+  | None -> true
+  | Some f -> Value.is_truthy (eval ctx row f)
+
+and scan_table ctx name =
+  match Catalog.find_table ctx.catalog name with
+  | Some t -> t
+  | None -> error "no such table %S" name
+
+and run_aggregate ctx group_by aggs (input : Value.t array Seq.t) =
+  let module Acc = struct
+    type t = {
+      mutable count : int;              (* rows where arg is non-null (or all rows for COUNT star) *)
+      mutable sum_i : int;
+      mutable sum_f : float;
+      mutable saw_float : bool;
+      mutable min_v : Value.t;
+      mutable max_v : Value.t;
+      mutable distinct_seen : unit KeyTbl.t option;
+    }
+  end in
+  let make_acc (spec : Plan.agg_spec) =
+    { Acc.count = 0; sum_i = 0; sum_f = 0.; saw_float = false;
+      min_v = Value.Null; max_v = Value.Null;
+      distinct_seen = if spec.agg_distinct then Some (KeyTbl.create 16) else None }
+  in
+  let update (spec : Plan.agg_spec) (acc : Acc.t) row =
+    let v = match spec.agg_arg with
+      | None -> Value.Bool true  (* COUNT star counts every row *)
+      | Some e -> eval ctx row e
+    in
+    let count_it =
+      match spec.agg_arg with
+      | None -> true
+      | Some _ ->
+        if v = Value.Null then false
+        else begin
+          match acc.distinct_seen with
+          | Some seen ->
+            let k = [| v |] in
+            if KeyTbl.mem seen k then false
+            else begin
+              KeyTbl.add seen k ();
+              true
+            end
+          | None -> true
+        end
+    in
+    if count_it then begin
+      acc.count <- acc.count + 1;
+      (match v with
+       | Value.Int i ->
+         acc.sum_i <- acc.sum_i + i;
+         acc.sum_f <- acc.sum_f +. float_of_int i
+       | Value.Float f ->
+         acc.saw_float <- true;
+         acc.sum_f <- acc.sum_f +. f
+       | _ -> ());
+      if acc.min_v = Value.Null || Value.compare_total v acc.min_v < 0 then acc.min_v <- v;
+      if acc.max_v = Value.Null || Value.compare_total v acc.max_v > 0 then acc.max_v <- v
+    end
+  in
+  let finish (spec : Plan.agg_spec) (acc : Acc.t) =
+    match spec.agg_fn with
+    | Sql_ast.Count -> Value.Int acc.count
+    | Sql_ast.Sum ->
+      if acc.count = 0 then Value.Null
+      else if acc.saw_float then Value.Float acc.sum_f
+      else Value.Int acc.sum_i
+    | Sql_ast.Avg ->
+      if acc.count = 0 then Value.Null
+      else Value.Float (acc.sum_f /. float_of_int acc.count)
+    | Sql_ast.Min -> acc.min_v
+    | Sql_ast.Max -> acc.max_v
+  in
+  let groups : (Value.t array * Acc.t array) KeyTbl.t = KeyTbl.create 64 in
+  let order = ref [] in
+  Seq.iter
+    (fun row ->
+      let key = Array.map (eval ctx row) group_by in
+      let _, accs =
+        match KeyTbl.find_opt groups key with
+        | Some entry -> entry
+        | None ->
+          let entry = (key, Array.map make_acc aggs) in
+          KeyTbl.add groups key entry;
+          order := key :: !order;
+          entry
+      in
+      Array.iteri (fun i spec -> update spec accs.(i) row) aggs)
+    input;
+  let keys_in_order = List.rev !order in
+  let emit key =
+    let key_vals, accs = KeyTbl.find groups key in
+    Array.append key_vals (Array.mapi (fun i spec -> finish spec accs.(i)) aggs)
+  in
+  if group_by = [||] && keys_in_order = [] then
+    (* global aggregate over an empty input still yields one row *)
+    Seq.return (Array.map (fun spec -> finish spec (make_acc spec)) aggs)
+  else List.to_seq (List.map emit keys_in_order)
+
 (* Filter a batch stream, preferring a compiled kernel and attaching a
    selection vector instead of copying survivors. *)
-let apply_filter ctx f (bs : Batch.t Seq.t) : Batch.t Seq.t =
+and apply_filter ctx f (bs : Batch.t Seq.t) : Batch.t Seq.t =
   let kern = vec_kernel ctx f in
   Seq.filter_map
     (fun b ->
@@ -1439,7 +1120,7 @@ let apply_filter ctx f (bs : Batch.t Seq.t) : Batch.t Seq.t =
       narrow_batch b !kept !n)
     bs
 
-let rec run_batches ctx (plan : Plan.t) : Batch.t Seq.t =
+and run_batches ctx (plan : Plan.t) : Batch.t Seq.t =
   let bs =
     match ctx.obs with
     | None -> run_batches_raw ctx None plan
@@ -1589,8 +1270,8 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
           in
           { b with Batch.cols }
         else
-          (* general expressions: evaluate row-major like the iterator so
-             side effects (subplans, errors) happen in the same order *)
+          (* general expressions: evaluate row-major so side effects
+             (subplans, errors) happen in row order *)
           Batch.of_rows ~arity:(Array.length exprs)
             (Array.of_seq
                (Seq.map
@@ -1630,7 +1311,7 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
          emitted by column gather with no row-boxing round trip. An
          Exchange build side is partitioned across domains into
          per-domain batch + partial table, then merged with an index
-         offset (same merge order as the iterator executor). *)
+         offset into the bucket order a sequential build produces). *)
       let keys_of_batch (b : Batch.t) =
         let arity = Batch.arity b in
         if
@@ -1760,7 +1441,7 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
            match cond with
            | Some _ ->
              (* the residual condition needs full joined rows: box per
-                match, exactly like the iterator probe *)
+                match *)
              let out = ref [] in
              Batch.iter_live
                (fun li ->
@@ -2015,10 +1696,9 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
 and batch_sj_pairs ctx st ~left ~right ~interval_on_left ~left_doc
     ~right_doc ~lo ~hi ~pos ~lo_incl ~hi_incl :
     Batch.t * Batch.t * int * int * int array * int array =
-      (* Same containment merge as the iterator case, but both sides are
-         consolidated into one dense batch each, so the XML region
-         encoding keeps its keys in unboxed int columns and the key
-         extraction skips boxing entirely. *)
+      (* Both sides are consolidated into one dense batch each, so the
+         XML region encoding keeps its keys in unboxed int columns and
+         the key extraction skips boxing entirely. *)
       let lbs = List.of_seq (run_batches ctx left) in
       let rbs = List.of_seq (run_batches ctx right) in
       let la = match lbs with b :: _ -> Batch.arity b | [] -> 0 in
@@ -2096,14 +1776,8 @@ and batch_sj_pairs ctx st ~left ~right ~interval_on_left ~left_doc
        | None -> ());
       (lB, rB, la, ra, lidx, ridx)
 
-(* Entry point: the vectorized path is the default; XOMATIQ_VEC=0 keeps
-   the row-at-a-time iterator as the reference implementation. Both are
-   driven through the same [eval], planner and Obs plumbing, and the
-   differential suite holds their outputs byte-identical. *)
 let run catalog ?(params = [||]) ?obs ?cancel ?view plan =
-  let ctx = { catalog; params; obs; cancel; view } in
-  if Rewrite.enabled () then Batch.to_row_seq (run_batches ctx plan)
-  else run_plan ctx plan
+  Batch.to_row_seq (run_batches { catalog; params; obs; cancel; view } plan)
 
 let eval_expr catalog ?(params = [||]) row e =
   eval { catalog; params; obs = None; cancel = None; view = None } row e

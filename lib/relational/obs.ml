@@ -239,23 +239,8 @@ let find profile node =
   in
   go profile
 
-let observed st seq =
-  st.loops <- st.loops + 1;
-  let rec go seq () =
-    let t0 = now_s () in
-    let step = seq () in
-    st.time_s <- st.time_s +. (now_s () -. t0);
-    match step with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (x, rest) ->
-      st.rows <- st.rows + 1;
-      Seq.Cons (x, go rest)
-  in
-  go seq
-
-(* Batch-mode variant of [observed]: each element is a row *batch*, so
-   the rows counter advances by the batch's live count — EXPLAIN ANALYZE
-   row totals agree between the iterator and vectorized executors. *)
+(* Each element is a row *batch*, so the rows counter advances by the
+   batch's live count. *)
 let observed_batches ~live st seq =
   st.loops <- st.loops + 1;
   let rec go seq () =

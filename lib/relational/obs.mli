@@ -109,14 +109,10 @@ val find : profile -> Plan.t -> op_stats option
 (** The stats slot of a node of the profiled plan; [None] for foreign
     nodes. *)
 
-val observed : op_stats -> 'a Seq.t -> 'a Seq.t
-(** Wrap an operator's output sequence so rows and (inclusive) wall time
-    are charged to [op_stats] as the sequence is consumed. *)
-
 val observed_batches : live:('a -> int) -> op_stats -> 'a Seq.t -> 'a Seq.t
-(** [observed] for a sequence of row batches: each pulled element charges
-    [live b] rows, so per-operator row counters match the iterator
-    executor's row-at-a-time accounting. *)
+(** Wrap an operator's output sequence of row batches so rows and
+    (inclusive) wall time are charged to [op_stats] as the sequence is
+    consumed: each pulled batch [b] charges [live b] rows. *)
 
 val annotation : profile -> Plan.t -> string
 (** The [" (rows=... time=...)"] suffix for one operator line, for use as

@@ -91,17 +91,6 @@ let resolve env ~table ~column : Plan.cexpr =
 (* Morsel parallelism post-pass                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Structural (interval containment) merge joins are on by default;
-   XOMATIQ_STRUCTURAL_JOIN=0 falls back to hash-join + filter, which the
-   differential suite and the E7 bench use as the baseline. *)
-let structural_enabled () =
-  match Sys.getenv_opt "XOMATIQ_STRUCTURAL_JOIN" with
-  | Some s ->
-    (match String.lowercase_ascii (String.trim s) with
-     | "0" | "off" | "false" | "no" -> false
-     | _ -> true)
-  | None -> true
-
 (* Minimum live rows before a base-table scan is worth partitioning
    across domains (per-partition materialisation has fixed overhead). *)
 let par_threshold () =
@@ -683,84 +672,80 @@ and plan_from catalog ~outer (from : table_ref list) (where : expr option) :
          position expression on one role inside an interval carried by
          the other (XQ2SQL's region predicates land here as separate
          comparisons, or as a BETWEEN) *)
-      let structural_on = structural_enabled () in
       let find_structural set_members unit_idx =
-        if not structural_on then None
-        else begin
-          let side e =
-            match referenced_units ~unit_scopes ~outer e with
-            | [] -> `Const
-            | [ i ] when i = unit_idx -> `Unit
-            | refs when List.for_all (fun r -> List.mem r set_members) refs -> `Set
-            | _ -> `Other
-          in
-          (* every way of reading a conjunct as a bound on a position:
-             (pos, pos_on_unit, `Lo|`Hi, inclusive, conjunct) *)
-          let bounds = ref [] in
-          List.iter
-            (fun c ->
-              match c with
-              | Binop ((Lt | Le | Gt | Ge) as op, a, b) ->
-                (match side a, side b with
-                 | `Set, `Unit | `Unit, `Set ->
-                   let a_unit = side a = `Unit in
-                   let incl = op = Le || op = Ge in
-                   let kind_pos_a = match op with Lt | Le -> `Hi | _ -> `Lo in
-                   let kind_pos_b = match op with Lt | Le -> `Lo | _ -> `Hi in
-                   bounds := (a, a_unit, kind_pos_a, incl, b, c) :: !bounds;
-                   bounds := (b, not a_unit, kind_pos_b, incl, a, c) :: !bounds
-                 | _ -> ())
-              | Between { subject; low; high; negated = false } ->
-                (match side subject, side low, side high with
-                 | `Unit, `Set, `Set ->
-                   bounds := (subject, true, `Lo, true, low, c) :: !bounds;
-                   bounds := (subject, true, `Hi, true, high, c) :: !bounds
-                 | `Set, `Unit, `Unit ->
-                   bounds := (subject, false, `Lo, true, low, c) :: !bounds;
-                   bounds := (subject, false, `Hi, true, high, c) :: !bounds
-                 | _ -> ())
-              | _ -> ())
-            !remaining_multi;
-          let all = !bounds in
-          let pattern =
+        let side e =
+          match referenced_units ~unit_scopes ~outer e with
+          | [] -> `Const
+          | [ i ] when i = unit_idx -> `Unit
+          | refs when List.for_all (fun r -> List.mem r set_members) refs -> `Set
+          | _ -> `Other
+        in
+        (* every way of reading a conjunct as a bound on a position:
+           (pos, pos_on_unit, `Lo|`Hi, inclusive, conjunct) *)
+        let bounds = ref [] in
+        List.iter
+          (fun c ->
+            match c with
+            | Binop ((Lt | Le | Gt | Ge) as op, a, b) ->
+              (match side a, side b with
+               | `Set, `Unit | `Unit, `Set ->
+                 let a_unit = side a = `Unit in
+                 let incl = op = Le || op = Ge in
+                 let kind_pos_a = match op with Lt | Le -> `Hi | _ -> `Lo in
+                 let kind_pos_b = match op with Lt | Le -> `Lo | _ -> `Hi in
+                 bounds := (a, a_unit, kind_pos_a, incl, b, c) :: !bounds;
+                 bounds := (b, not a_unit, kind_pos_b, incl, a, c) :: !bounds
+               | _ -> ())
+            | Between { subject; low; high; negated = false } ->
+              (match side subject, side low, side high with
+               | `Unit, `Set, `Set ->
+                 bounds := (subject, true, `Lo, true, low, c) :: !bounds;
+                 bounds := (subject, true, `Hi, true, high, c) :: !bounds
+               | `Set, `Unit, `Unit ->
+                 bounds := (subject, false, `Lo, true, low, c) :: !bounds;
+                 bounds := (subject, false, `Hi, true, high, c) :: !bounds
+               | _ -> ())
+            | _ -> ())
+          !remaining_multi;
+        let all = !bounds in
+        let pattern =
+          List.find_map
+            (fun (p, on_unit, kind, lo_incl, lo_e, c1) ->
+              if kind <> `Lo then None
+              else
+                List.find_map
+                  (fun (p2, on_unit2, kind2, hi_incl, hi_e, c2) ->
+                    if kind2 = `Hi && on_unit2 = on_unit && p2 = p then
+                      Some (p, on_unit, lo_incl, lo_e, c1, hi_incl, hi_e, c2)
+                    else None)
+                  all)
+            all
+        in
+        match pattern with
+        | None -> None
+        | Some (p, on_unit, lo_incl, lo_e, c1, hi_incl, hi_e, c2) ->
+          (* the document key: the first equi conjunct between the
+             roles (XQ2SQL emits doc_id = doc_id) *)
+          let doc =
             List.find_map
-              (fun (p, on_unit, kind, lo_incl, lo_e, c1) ->
-                if kind <> `Lo then None
+              (fun c ->
+                if c == c1 || c == c2 then None
                 else
-                  List.find_map
-                    (fun (p2, on_unit2, kind2, hi_incl, hi_e, c2) ->
-                      if kind2 = `Hi && on_unit2 = on_unit && p2 = p then
-                        Some (p, on_unit, lo_incl, lo_e, c1, hi_incl, hi_e, c2)
-                      else None)
-                    all)
-              all
+                  Option.map
+                    (fun pair -> (pair, c))
+                    (is_equi_between set_members unit_idx c))
+              !remaining_multi
           in
-          match pattern with
-          | None -> None
-          | Some (p, on_unit, lo_incl, lo_e, c1, hi_incl, hi_e, c2) ->
-            (* the document key: the first equi conjunct between the
-               roles (XQ2SQL emits doc_id = doc_id) *)
-            let doc =
-              List.find_map
-                (fun c ->
-                  if c == c1 || c == c2 then None
-                  else
-                    Option.map
-                      (fun pair -> (pair, c))
-                      (is_equi_between set_members unit_idx c))
-                !remaining_multi
-            in
-            (match doc with
-             | None -> None
-             | Some ((doc_set, doc_unit), doc_c) ->
-               Some
-                 { sm_doc_set = doc_set; sm_doc_unit = doc_unit;
-                   sm_pos = p; sm_lo = lo_e; sm_hi = hi_e;
-                   sm_lo_incl = lo_incl; sm_hi_incl = hi_incl;
-                   sm_pos_on_unit = on_unit;
-                   sm_used =
-                     (if c1 == c2 then [ doc_c; c1 ] else [ doc_c; c1; c2 ]) })
-        end
+          (match doc with
+           | None -> None
+           | Some ((doc_set, doc_unit), doc_c) ->
+             Some
+               { sm_doc_set = doc_set; sm_doc_unit = doc_unit;
+                 sm_pos = p; sm_lo = lo_e; sm_hi = hi_e;
+                 sm_lo_incl = lo_incl; sm_hi_incl = hi_incl;
+                 sm_pos_on_unit = on_unit;
+                 sm_used =
+                   (if c1 == c2 then [ doc_c; c1 ] else [ doc_c; c1; c2 ]) })
       in
       (* distinct count of a plain column reference, via ANALYZE stats *)
       let distinct_of_expr e =
@@ -1252,11 +1237,8 @@ and finalize sel ~column_names ~proj_asts ~compile_output ~proj ~input =
    plan (the [transform] driver inside [Rewrite] recurses into expression
    subplans itself), so subquery planning stays rewrite-free. *)
 let apply_rewrites catalog (p : planned) =
-  if Rewrite.enabled () then begin
-    let plan, rewrites = Rewrite.apply catalog p.plan in
-    { p with plan; rewrites }
-  end
-  else p
+  let plan, rewrites = Rewrite.apply catalog p.plan in
+  { p with plan; rewrites }
 
 (* Stamp the finished plan with its root cost estimate — computed after
    rewrites, so the gate judges the plan that will actually run. *)
@@ -1270,6 +1252,8 @@ let with_root_cost catalog (p : planned) =
 
 let plan_select catalog sel =
   with_root_cost catalog (apply_rewrites catalog (plan_select_in catalog ~outer:[] sel))
+
+let plan_select_raw catalog sel = (plan_select_in catalog ~outer:[] sel).plan
 
 let plan_query catalog (q : Sql_ast.query) =
   let first = plan_select_in catalog ~outer:[] q.first in

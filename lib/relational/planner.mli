@@ -11,19 +11,13 @@
 
 exception Plan_error of string
 
-val structural_enabled : unit -> bool
-(** Whether the planner may pick the structural (interval containment)
-    merge join for [doc = doc AND lo (<|<=) pos (<|<=) hi] join shapes.
-    On by default; set [XOMATIQ_STRUCTURAL_JOIN=0] to fall back to
-    hash-join + filter (the E7 bench baseline). *)
-
 type planned = {
   plan : Plan.t;
   column_names : string list;  (** output column headers, in order *)
   rewrites : (string * int) list;
       (** table-algebra rewrite rules that fired on this plan, as
           [(rule name, times)] in {!Rewrite.rule_names} order; empty when
-          the vectorized path (and with it the rewrite pass) is off *)
+          no rule fired *)
   est_cost : float;
       (** root cost estimate of the final (rewritten) plan in the cost
           model's "rows touched" unit; the adaptive scheduler's cost
@@ -33,6 +27,10 @@ type planned = {
 val plan_select : Catalog.t -> Sql_ast.select -> planned
 (** @raise Plan_error on unknown tables/columns, ambiguous references,
     or misuse of aggregates. *)
+
+val plan_select_raw : Catalog.t -> Sql_ast.select -> Plan.t
+(** The plan {!plan_select} builds before the {!Rewrite} pass, for
+    checking rewrite rules one at a time. *)
 
 val plan_query : Catalog.t -> Sql_ast.query -> planned
 (** Plan a UNION chain. Column names come from the first branch; a plain

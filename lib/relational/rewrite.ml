@@ -1,12 +1,7 @@
-(* Table-algebra rewrites for the vectorized executor. See rewrite.mli
-   for the rule catalog and the safety rules around subplans. *)
+(* Table-algebra rewrites for the batch executor. See rewrite.mli for
+   the rule catalog and the safety rules around subplans. *)
 
 open Plan
-
-let enabled () =
-  match Sys.getenv_opt "XOMATIQ_VEC" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
 
 type report = (string * int) list
 

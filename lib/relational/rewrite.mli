@@ -1,7 +1,7 @@
-(** Pre-execution table-algebra rewrites for the vectorized executor.
+(** Pre-execution table-algebra rewrites for the batch executor.
 
-    Applied by the planner (when {!enabled}) between plan construction
-    and execution, in the fixed order of {!rule_names}:
+    Applied by the planner to every plan, between plan construction and
+    execution, in the fixed order of {!rule_names}:
 
     - ["sort-elim"]: drop [Sort] operators whose consumer is
       order-insensitive — IN/EXISTS/scalar subplan roots and global
@@ -17,15 +17,12 @@
     - ["proj-fuse"]: compose adjacent [Project] pairs and drop identity
       projections.
 
-    Every rule preserves results byte-for-byte on the iterator executor;
-    the differential suite enforces this. Rules never move or duplicate
+    Every rule preserves results byte-for-byte; the differential suite
+    checks each rule against the executor's rows on the unrewritten plan
+    ({!Planner.plan_select_raw}). Rules never move or duplicate
     an expression containing a subplan across a row-shape change, since
     correlated [CParam] slots are numbered against the row of the
     operator that evaluates the expression. *)
-
-val enabled : unit -> bool
-(** [XOMATIQ_VEC]: unset/[1]/[on] = vectorized mode (default);
-    [0]/[off]/[false]/[no] = iterator reference mode. *)
 
 type report = (string * int) list
 (** Rules that fired, with fire counts, in application order. *)

@@ -25,7 +25,7 @@ type t = {
       (** session-pinned preparation of the last Query text: a client
           re-running its hot query skips the plan-cache mutex and
           hashtable (revalidated against the catalog version and the
-          plan-shaping toggles on every use) *)
+          plan-shaping settings on every use) *)
 }
 
 val create : id:int -> t

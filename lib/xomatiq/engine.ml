@@ -128,12 +128,7 @@ let normalize_query_text text =
    versa), exactly like the contains-strategy tag. *)
 let strategy_tag strategy =
   let s = match strategy with `Keyword_index -> "kw" | `Like_scan -> "like" in
-  (* the structural-join and vectorized-executor toggles change the
-     physical plan (the rewrite pass runs only when vectorized), so a
-     cached plan from one setting must not serve the other *)
-  Printf.sprintf "%s/j%d/sj%d/v%d" s (Conc.Pool.jobs ())
-    (if Rdb.Planner.structural_enabled () then 1 else 0)
-    (if Rdb.Rewrite.enabled () then 1 else 0)
+  Printf.sprintf "%s/j%d" s (Conc.Pool.jobs ())
 
 let catalog_version wh =
   Rdb.Catalog.version (Rdb.Database.catalog (Datahounds.Warehouse.db wh))
@@ -441,8 +436,8 @@ let prepared_cost pt =
   | None -> 0.
 
 (* A memoized preparation stays valid while the warehouse, its catalog
-   version and every plan-shaping toggle (strategy/jobs/structural/vec/
-   sched — all folded into the tag) are unchanged. *)
+   version and every plan-shaping setting (contains strategy and jobs,
+   both folded into the tag) are unchanged. *)
 let prepared_valid ~contains_strategy wh pt =
   pt.pt_entry.ce_wh == wh
   && pt.pt_entry.ce_version = catalog_version wh

@@ -124,8 +124,7 @@ val prepared_valid :
   contains_strategy:Xq2sql.contains_strategy ->
   Datahounds.Warehouse.t -> prepared_text -> bool
 (** True while the preparation still matches this warehouse, its catalog
-    version, and every plan-shaping toggle (strategy, jobs, structural
-    join, vectorization, scheduler mode). *)
+    version, and every plan-shaping setting (contains strategy, jobs). *)
 
 val run_prepared_text :
   ?cancel:Rdb.Cancel.t -> cached:bool -> prepared_text -> result

@@ -173,19 +173,12 @@ let run_jobs_determinism seed () =
     mix;
   D.Warehouse.close wh
 
-(* ---------------- structural join vs hash/NLJ baseline ----------------
+(* ---------------- structural join vs the reference evaluator ----------------
 
-   The planner's structural (interval containment) merge join must be a
-   pure physical optimization: with XOMATIQ_STRUCTURAL_JOIN=0 the same
-   region predicates execute as hash join + filter, and the rendered
-   tables must be byte-identical — over random document trees, for both
-   contains() rewrites, and at jobs=1 vs jobs=4. *)
-
-let with_structural_join enabled f =
-  Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" (if enabled then "1" else "0");
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" "")
-    f
+   The planner's structural (interval containment) merge join must
+   compute exactly what the XML semantics says: over random document
+   trees, for both contains() rewrites, at jobs=1 and jobs=4, the
+   rendered table must be byte-identical to Xomatiq.Eval's. *)
 
 let structural_queries =
   [ {|FOR $e IN document("c")/list
@@ -224,7 +217,7 @@ let structural_join_prop =
   in
   let docs_gen = list_size (int_range 1 3) doc_gen in
   QCheck.Test.make ~count:30
-    ~name:"structural join byte-identical to hash/NLJ baseline"
+    ~name:"structural join byte-identical to the reference evaluator"
     (QCheck.make docs_gen
        ~print:(fun docs ->
          String.concat "\n" (List.map Gxml.Printer.element_to_string docs)))
@@ -242,27 +235,27 @@ let structural_join_prop =
         docs;
       List.iter
         (fun text ->
+          let reference =
+            Xomatiq.Engine.result_to_table
+              (Xomatiq.Engine.run_text ~mode:`Reference wh text)
+          in
           List.iter
             (fun (slabel, strategy) ->
-              let table ~structural ~jobs =
-                with_structural_join structural (fun () ->
+              List.iter
+                (fun jobs ->
+                  let got =
                     with_forced_parallelism (fun () ->
                         Conc.Pool.with_jobs jobs (fun () ->
                             Xomatiq.Engine.result_to_table
                               (Xomatiq.Engine.run_text
-                                 ~contains_strategy:strategy wh text))))
-              in
-              let baseline = table ~structural:false ~jobs:1 in
-              let seq = table ~structural:true ~jobs:1 in
-              let par = table ~structural:true ~jobs:4 in
-              if seq <> baseline then
-                QCheck.Test.fail_reportf
-                  "structural/%s differs from baseline on %s:\n%s\nvs\n%s"
-                  slabel text seq baseline;
-              if par <> seq then
-                QCheck.Test.fail_reportf
-                  "structural/%s jobs=4 differs from jobs=1 on %s:\n%s\nvs\n%s"
-                  slabel text par seq)
+                                 ~contains_strategy:strategy wh text)))
+                  in
+                  if got <> reference then
+                    QCheck.Test.fail_reportf
+                      "structural/%s jobs=%d differs from reference on %s:\n\
+                       %s\nvs\n%s"
+                      slabel jobs text got reference)
+                [ 1; 4 ])
             strategies)
         structural_queries;
       D.Warehouse.close wh;
@@ -307,66 +300,14 @@ let run_structural_plan_chosen () =
     structural_queries;
   D.Warehouse.close wh
 
-(* ---------------- vectorized executor differential wall ----------------
-
-   The batch executor (XOMATIQ_VEC=1, the default) plus the rewrite pass
-   must be a pure physical optimization: for every query in the paper's
-   mix, every seed, both contains() rewrites and jobs=1 vs jobs=4, the
-   rendered table must be byte-identical to the iterator reference
-   (XOMATIQ_VEC=0) at jobs=1. *)
-
-let with_vec v f =
-  let prev = Sys.getenv_opt "XOMATIQ_VEC" in
-  Unix.putenv "XOMATIQ_VEC" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "XOMATIQ_VEC" (match prev with Some p -> p | None -> ""))
-    f
-
-let run_vec_determinism seed () =
-  with_forced_parallelism @@ fun () ->
-  let u = universe_of seed in
-  let wh = D.Warehouse.create () in
-  (match Workload.Genbio.load_universe wh u with
-   | Ok () -> ()
-   | Error m -> failwith m);
-  let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:4 in
-  List.iter
-    (fun (cls, text) ->
-      let name = Workload.Query_mix.class_name cls in
-      List.iter
-        (fun (slabel, strategy) ->
-          let at ~vec ~jobs =
-            with_vec vec (fun () ->
-                Conc.Pool.with_jobs jobs (fun () ->
-                    Xomatiq.Engine.result_to_table
-                      (Xomatiq.Engine.run_text ~contains_strategy:strategy wh
-                         text)))
-          in
-          let baseline = at ~vec:"0" ~jobs:1 in
-          List.iter
-            (fun (clabel, table) ->
-              check string
-                (Printf.sprintf
-                   "%s/%s %s byte-identical to iterator jobs=1 (seed %d): %s"
-                   name slabel clabel seed text)
-                baseline table)
-            [ ("vec=1 jobs=1", at ~vec:"1" ~jobs:1);
-              ("vec=1 jobs=4", at ~vec:"1" ~jobs:4);
-              ("vec=0 jobs=4", at ~vec:"0" ~jobs:4) ])
-        strategies)
-    mix;
-  D.Warehouse.close wh
-
 (* ---------------- per-rewrite-rule property tests ----------------
 
-   Each rewrite rule, applied ALONE to the planner's raw plan (planned
-   under XOMATIQ_VEC=0 so no rewrites are pre-applied), must preserve
-   the iterator executor's exact row list; the full pipeline must too,
-   on both executors. Random region/point tables stand in for the
-   XML interval encoding; the query pool covers containment joins,
-   IN/EXISTS subqueries with inner ORDER BY (sort-elim bait), BETWEEN,
-   IS NULL, DISTINCT, GROUP BY and LIMIT. *)
+   Each rewrite rule, applied ALONE to the planner's raw plan (the plan
+   before the rewrite pass), must preserve the executor's exact row list
+   on that raw plan; the full pipeline must too. Random region/point
+   tables stand in for the XML interval encoding; the query pool covers
+   containment joins, IN/EXISTS subqueries with inner ORDER BY
+   (sort-elim bait), BETWEEN, IS NULL, DISTINCT, GROUP BY and LIMIT. *)
 
 let rule_fires : (string, int) Hashtbl.t = Hashtbl.create 8
 
@@ -432,12 +373,10 @@ let vec_queries k =
       k (k + 5) ]
 
 let plan_raw db sql =
-  (* plan under VEC=0 so the planner's rewrite hook stays off and we get
-     the untouched plan *)
-  with_vec "0" (fun () ->
-      match Rdb.Sql_parser.parse sql with
-      | Rdb.Sql_ast.Select_stmt sel -> Rdb.Database.plan_select db sel
-      | _ -> failwith "not a SELECT")
+  match Rdb.Sql_parser.parse sql with
+  | Rdb.Sql_ast.Select_stmt sel ->
+    Rdb.Planner.plan_select_raw (Rdb.Database.catalog db) sel
+  | _ -> failwith "not a SELECT"
 
 let rows_literal rows =
   String.concat "\n"
@@ -449,20 +388,14 @@ let rows_literal rows =
 
 let check_rules_on db sql =
   let cat = Rdb.Database.catalog db in
-  let planned = plan_raw db sql in
-  let raw = planned.Rdb.Planner.plan in
-  let iter_rows plan =
-    with_vec "0" (fun () -> List.of_seq (Rdb.Executor.run cat plan))
-  in
-  let batch_rows plan =
-    with_vec "1" (fun () -> List.of_seq (Rdb.Executor.run cat plan))
-  in
-  let baseline = iter_rows raw in
+  let raw = plan_raw db sql in
+  let rows plan = List.of_seq (Rdb.Executor.run cat plan) in
+  let baseline = rows raw in
   List.iter
     (fun rule ->
       let rewritten, fires = Rdb.Rewrite.apply_rule cat rule raw in
       note_fire rule fires;
-      let got = iter_rows rewritten in
+      let got = rows rewritten in
       if got <> baseline then
         QCheck.Test.fail_reportf
           "rule %s alone changed results on %s:\n%s\nvs baseline\n%s" rule sql
@@ -470,17 +403,11 @@ let check_rules_on db sql =
     Rdb.Rewrite.rule_names;
   let full, report = Rdb.Rewrite.apply cat raw in
   List.iter (fun (rule, n) -> note_fire rule n) report;
-  let got_iter = iter_rows full in
-  if got_iter <> baseline then
+  let got = rows full in
+  if got <> baseline then
     QCheck.Test.fail_reportf
-      "full rewrite pipeline changed iterator results on %s:\n%s\nvs\n%s" sql
-      (rows_literal got_iter) (rows_literal baseline);
-  let got_batch = batch_rows full in
-  if got_batch <> baseline then
-    QCheck.Test.fail_reportf
-      "batch executor differs from iterator on rewritten plan for %s:\n\
-       %s\nvs\n%s"
-      sql (rows_literal got_batch) (rows_literal baseline)
+      "full rewrite pipeline changed results on %s:\n%s\nvs\n%s" sql
+      (rows_literal got) (rows_literal baseline)
 
 let rewrite_rule_prop =
   let open QCheck.Gen in
@@ -570,13 +497,6 @@ let () =
             (run_jobs_determinism 23);
           Alcotest.test_case "seed 47, jobs=1 vs jobs=4" `Quick
             (run_jobs_determinism 47) ] );
-      ( "vectorized",
-        [ Alcotest.test_case "seed 11, vec=1 vs vec=0 x jobs" `Quick
-            (run_vec_determinism 11);
-          Alcotest.test_case "seed 23, vec=1 vs vec=0 x jobs" `Quick
-            (run_vec_determinism 23);
-          Alcotest.test_case "seed 47, vec=1 vs vec=0 x jobs" `Quick
-            (run_vec_determinism 47) ] );
       ( "rewrite-rules",
         [ QCheck_alcotest.to_alcotest rewrite_rule_prop;
           Alcotest.test_case "every rule fired somewhere" `Quick

@@ -247,29 +247,18 @@ let golden name actual =
             runtest)")
         (read_file path) actual
 
-(* run [f] with XOMATIQ_VEC pinned, restoring the previous value after *)
-let with_vec v f =
-  let prev = Sys.getenv_opt "XOMATIQ_VEC" in
-  Unix.putenv "XOMATIQ_VEC" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "XOMATIQ_VEC" (Option.value prev ~default:""))
-    f
-
 let test_golden_plans () =
   let wh = Lazy.force loaded_warehouse in
-  (* pin to one worker and the vectorized path: the snapshots record
-     the sequential rewritten plans — a multicore run (XOMATIQ_JOBS)
-     would wrap big scans in Exchange, and XOMATIQ_VEC=0 would skip the
-     rewrite pass *)
+  (* pin to one worker: the snapshots record the sequential rewritten
+     plans — a multicore run (XOMATIQ_JOBS) would wrap big scans in
+     Exchange *)
   Conc.Pool.with_jobs 1 (fun () ->
-      with_vec "1" (fun () ->
-          List.iter
-            (fun (name, q) ->
-              golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
-            [ ("fig8-keyword", fig8_keyword_query);
-              ("fig9-subtree", fig9_subtree_query);
-              ("fig11-join", fig11_join_query) ]))
+      List.iter
+        (fun (name, q) ->
+          golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
+        [ ("fig8-keyword", fig8_keyword_query);
+          ("fig9-subtree", fig9_subtree_query);
+          ("fig11-join", fig11_join_query) ])
 
 (* the three figure queries must actually take the vectorized path: the
    rewrite footer and a fused scan+filter prove the batch executor and
@@ -277,21 +266,20 @@ let test_golden_plans () =
 let test_vectorized_plans () =
   let wh = Lazy.force loaded_warehouse in
   Conc.Pool.with_jobs 1 (fun () ->
-      with_vec "1" (fun () ->
-          List.iter
-            (fun (name, q) ->
-              let s = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q) in
-              check bool
-                (name ^ ": explain has vectorized footer")
-                true
-                (contains_sub ~needle:"Vectorized: batch=" s);
-              check bool
-                (name ^ ": a scan+filter was fused")
-                true
-                (contains_sub ~needle:"[fused=scan+filter]" s))
-            [ ("fig8-keyword", fig8_keyword_query);
-              ("fig9-subtree", fig9_subtree_query);
-              ("fig11-join", fig11_join_query) ]))
+      List.iter
+        (fun (name, q) ->
+          let s = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q) in
+          check bool
+            (name ^ ": explain has vectorized footer")
+            true
+            (contains_sub ~needle:"Vectorized: batch=" s);
+          check bool
+            (name ^ ": a scan+filter was fused")
+            true
+            (contains_sub ~needle:"[fused=scan+filter]" s))
+        [ ("fig8-keyword", fig8_keyword_query);
+          ("fig9-subtree", fig9_subtree_query);
+          ("fig11-join", fig11_join_query) ])
 
 (* ---------------- runner ---------------- *)
 

@@ -343,6 +343,40 @@ let test_correlated_subquery_uses_index () =
   | Ok _ -> ()  (* subplans are not rendered today; execution above is the check *)
   | Error m -> fail m
 
+(* A correlated subplan runs once per outer row and checks the query's
+   cancel token per batch: a query whose work is all inside a correlated
+   NOT EXISTS over an unindexed table must still stop at its deadline. *)
+let test_correlated_subplan_cancel () =
+  let db = fresh_db () in
+  ignore (Rdb.Database.exec_exn db "CREATE TABLE t (k INTEGER, v INTEGER)");
+  (match
+     Rdb.Database.insert_rows db ~table:"t"
+       (List.init 3000 (fun i -> [| Rdb.Value.Int i; Rdb.Value.Int (i mod 7) |]))
+   with
+   | Ok _ -> ()
+   | Error m -> fail m);
+  let planned =
+    match
+      Rdb.Sql_parser.parse
+        "SELECT a.k FROM t a WHERE NOT EXISTS \
+         (SELECT 1 FROM t b WHERE b.v = a.k + 3000)"
+    with
+    | Rdb.Sql_ast.Select_stmt sel -> Rdb.Database.plan_select db sel
+    | _ -> fail "not a SELECT"
+  in
+  let obs = Rdb.Obs.create planned.Rdb.Planner.plan in
+  let t0 = Rdb.Obs.now_s () in
+  let cancel = Rdb.Cancel.create ~deadline:(t0 +. 0.05) () in
+  match Rdb.Database.run_planned db ~obs ~cancel planned with
+  | _ -> fail "query finished before its 50 ms deadline"
+  | exception Rdb.Cancel.Canceled (code, _) ->
+    check string "canceled by its deadline" Rdb.Cancel.timeout_code code;
+    check bool "stopped within 2 s" true (Rdb.Obs.now_s () -. t0 < 2.0);
+    (* the first outer batch alone runs 1024 subplans; a token checked
+       only between outer batches would let it through *)
+    check int "canceled inside a subplan, before any outer batch" 0
+      (Option.get (Rdb.Obs.find obs planned.plan)).rows
+
 let test_update_indexes_maintained () =
   let db = fresh_db () in
   ignore (Rdb.Database.exec_exn db "CREATE TABLE t (a INTEGER, b TEXT)");
@@ -635,6 +669,8 @@ let () =
          Alcotest.test_case "limit edges" `Quick test_limit_edges;
          Alcotest.test_case "insert column list" `Quick test_insert_column_list;
          Alcotest.test_case "correlated subquery" `Quick test_correlated_subquery_uses_index;
+         Alcotest.test_case "correlated subplan cancel" `Quick
+           test_correlated_subplan_cancel;
          Alcotest.test_case "update maintains indexes" `Quick test_update_indexes_maintained ]);
       ("wal-extra",
        [ Alcotest.test_case "all ops roundtrip" `Quick test_wal_all_ops_roundtrip;
