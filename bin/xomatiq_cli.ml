@@ -91,17 +91,6 @@ let source_arg =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Flat file to load.")
 
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel query execution (default: \
-     $(b,XOMATIQ_JOBS), else the machine's core count). 1 forces \
-     sequential execution. Harvests and syncs load on one domain \
-     whatever the setting."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let apply_jobs jobs = Option.iter Conc.Pool.set_jobs jobs
-
 let metrics_json_arg =
   let doc =
     "Write a JSON snapshot of every registered runtime metric (plan-cache \
@@ -157,8 +146,7 @@ let hostport_conv =
 (* ---------------- commands ---------------- *)
 
 let harvest_cmd =
-  let run db source division jobs no_analyze file =
-    apply_jobs jobs;
+  let run db source division no_analyze file =
     match source_of_name source division with
     | Error m -> `Error (false, m)
     | Ok src ->
@@ -186,12 +174,11 @@ let harvest_cmd =
   in
   let doc = "Harvest a flat file into the warehouse (Data Hounds pipeline)." in
   Cmd.v (Cmd.info "harvest" ~doc)
-    Term.(ret (const run $ db_arg $ source_arg $ division_arg $ jobs_arg
-               $ no_analyze_arg $ file_arg))
+    Term.(ret (const run $ db_arg $ source_arg $ division_arg $ no_analyze_arg
+               $ file_arg))
 
 let sync_cmd =
-  let run db source division remove_missing jobs file =
-    apply_jobs jobs;
+  let run db source division remove_missing file =
     match source_of_name source division with
     | Error m -> `Error (false, m)
     | Ok src ->
@@ -215,7 +202,7 @@ let sync_cmd =
   let doc = "Incrementally refresh the warehouse from a new source snapshot." in
   Cmd.v (Cmd.info "sync" ~doc)
     Term.(ret (const run $ db_arg $ source_arg $ division_arg $ remove_arg
-               $ jobs_arg $ file_arg))
+               $ file_arg))
 
 let collections_cmd =
   let run db =
@@ -281,8 +268,7 @@ let dtd_cmd =
   Cmd.v (Cmd.info "dtd" ~doc) Term.(ret (const run $ db_arg $ coll_arg))
 
 let query_cmd =
-  let run db format from_file profile cache_stats jobs metrics_json query_text =
-    apply_jobs jobs;
+  let run db format from_file profile cache_stats metrics_json query_text =
     with_warehouse db @@ fun wh ->
     let text =
       match from_file with
@@ -345,11 +331,10 @@ let query_cmd =
   let doc = "Run a XomatiQ FLWR query against the warehouse." in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(ret (const run $ db_arg $ format_arg $ from_file_arg $ profile_arg
-               $ cache_stats_arg $ jobs_arg $ metrics_json_arg $ text_arg))
+               $ cache_stats_arg $ metrics_json_arg $ text_arg))
 
 let explain_cmd =
-  let run db analyze jobs query_text =
-    apply_jobs jobs;
+  let run db analyze query_text =
     with_warehouse db @@ fun wh ->
     match Xomatiq.Parser.parse query_text with
     | q ->
@@ -369,7 +354,7 @@ let explain_cmd =
   in
   let doc = "Show the SQL translation and the relational physical plan." in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(ret (const run $ db_arg $ analyze_arg $ jobs_arg $ text_arg))
+    Term.(ret (const run $ db_arg $ analyze_arg $ text_arg))
 
 let sql_cmd =
   let run db statement =
@@ -570,8 +555,7 @@ let stats_cmd =
   Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ db_arg)
 
 let shell_cmd =
-  let run db jobs =
-    apply_jobs jobs;
+  let run db =
     with_warehouse db @@ fun wh ->
     let format = ref "table" in
     (* Errors go to stderr so piped output stays clean, and any failed
@@ -598,7 +582,6 @@ let shell_cmd =
         \  :sql STATEMENT;       run raw SQL\n\
         \  :explain QUERY;       show translation + physical plan\n\
         \  :format table|xml     choose result rendering\n\
-        \  :jobs [N]             show or set the worker-domain count\n\
         \  :cache                translated-plan cache hit/miss counters\n\
         \  :quit                 leave\n"
     in
@@ -653,14 +636,6 @@ let shell_cmd =
           | ":format" :: f :: _ ->
             if f = "table" || f = "xml" then format := f
             else print_endline "format is 'table' or 'xml'"
-          | [ ":jobs" ] | ":jobs" :: "" :: _ ->
-            Printf.printf "jobs: %d\n" (Conc.Pool.jobs ())
-          | ":jobs" :: n :: _ ->
-            (match int_of_string_opt n with
-             | Some n when n >= 1 ->
-               Conc.Pool.set_jobs n;
-               Printf.printf "jobs: %d\n" (Conc.Pool.jobs ())
-             | _ -> print_endline "usage: :jobs N  (N >= 1)")
           | ":cache" :: _ ->
             let hits, misses = Xomatiq.Engine.cache_stats () in
             Printf.printf "plan cache: %d hit(s), %d miss(es)\n" hits misses
@@ -695,7 +670,7 @@ let shell_cmd =
     else `Ok ()
   in
   let doc = "Interactive query shell over a warehouse ('; ' terminates queries)." in
-  Cmd.v (Cmd.info "shell" ~doc) Term.(ret (const run $ db_arg $ jobs_arg))
+  Cmd.v (Cmd.info "shell" ~doc) Term.(ret (const run $ db_arg))
 
 (* ---------------- the gRNA service layer ---------------- *)
 
@@ -709,8 +684,7 @@ let port_arg ~default ~doc =
 let serve_cmd =
   let run db host port max_clients queue_depth query_timeout idle_timeout
       write_timeout pipeline_window repl_port replicate_from
-      checkpoint_every jobs metrics_json =
-    apply_jobs jobs;
+      checkpoint_every metrics_json =
     if max_clients < 1 then `Error (true, "--max-clients must be >= 1")
     else if queue_depth < 0 then `Error (true, "--queue-depth must be >= 0")
     else if pipeline_window < 1 then
@@ -857,7 +831,7 @@ let serve_cmd =
                $ max_clients_arg $ queue_depth_arg $ query_timeout_arg
                $ idle_timeout_arg $ write_timeout_arg
                $ pipeline_window_arg $ repl_port_arg $ replicate_from_arg
-               $ checkpoint_every_arg $ jobs_arg $ metrics_json_arg))
+               $ checkpoint_every_arg $ metrics_json_arg))
 
 (* Crude but dependency-free: pull one "name": <int> out of a metrics
    JSON snapshot (names are unique — Obs renders a flat object per kind). *)
@@ -906,7 +880,6 @@ let connect_cmd =
           \  :analyze QUERY;       EXPLAIN ANALYZE (executes the query)\n\
           \  :format table|xml     choose result rendering (session)\n\
           \  :strategy keyword|like  contains() rewrite strategy (session)\n\
-          \  :jobs [N|default]     show or set the worker-domain count\n\
           \  :cache                translated-plan cache hit/miss counters\n\
           \  :metrics              full server metrics snapshot (JSON)\n\
           \  :ping                 round-trip liveness probe\n\
@@ -989,8 +962,6 @@ let connect_cmd =
             | ":help" :: _ -> help ()
             | ":format" :: f :: _ -> set "format" f
             | ":strategy" :: s :: _ -> set "strategy" s
-            | [ ":jobs" ] -> set "jobs" ""
-            | ":jobs" :: n :: _ -> set "jobs" n
             | ":ping" :: _ ->
               guard (fun () -> ignore (Xserver.Client.ping c "ping"); print_endline "pong")
             | ":metrics" :: _ ->

@@ -6,8 +6,8 @@
     every operator boundary as rows are pulled. Cancellation is
     cooperative: a fired token stops the query at the next boundary, so
     even a cross-product that would run for hours aborts within one
-    pull. Tokens are domain-safe — [Exchange] partitions running on pool
-    domains observe a cancel fired from any other domain or thread. *)
+    pull. Tokens are domain-safe — a query running on a server's
+    dispatch thread observes a cancel fired from any other thread. *)
 
 type t
 

@@ -494,12 +494,11 @@ let do_analyze t (stmt : Sql_ast.stmt) target =
        (if List.length tables = 1 then "" else "s"))
 
 (* EXPLAIN footer surfacing the scheduler's plan-time decision: whether
-   this query would run on the session thread or request Exchange
-   workers, and why. *)
+   a server would run this query inline or dispatch it off the reactor
+   thread, and the cost estimate that decided it. *)
 let sched_footer (planned : Planner.planned) =
-  Printf.sprintf "Scheduler: %s est_cost=%.1f\n"
-    (Conc.Sched.decision_string
-       (Conc.Sched.plan_decision ~est_cost:planned.est_cost))
+  Printf.sprintf "Scheduler: lane=%s est_cost=%.1f\n"
+    (Conc.Sched.lane_name (Conc.Sched.lane ~est_cost:planned.est_cost))
     planned.est_cost
 
 let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =

@@ -17,11 +17,9 @@ val run :
     with rows, probes, hash-build sizes and wall time as the result is
     consumed. [cancel] is consulted at every operator boundary, subplans
     included: once the token fires (timeout or explicit cancel) the next
-    batch pull raises {!Cancel.Canceled}, including inside [Exchange]
-    partitions running on other domains. [view] pins every table access
-    (scans and index probes, on every Exchange worker) to one MVCC
-    snapshot ({!Table.snap}); without it the executor reads the raw
-    current state.
+    batch pull raises {!Cancel.Canceled}. [view] pins every table access
+    (scans and index probes) to one MVCC snapshot ({!Table.snap});
+    without it the executor reads the raw current state.
     @raise Runtime_error on evaluation failures (unknown table at run
     time, bad function arity, etc.).
     @raise Cancel.Canceled when [cancel] fires mid-execution. *)

@@ -29,15 +29,7 @@ and agg_spec = {
 
 and t =
   | Single_row   (* produces exactly one zero-column row: SELECT without FROM *)
-  | Seq_scan of {
-      table : string;
-      filter : cexpr option;
-      part : (int * int) option;
-          (* [Some (i, n)]: scan only the [i]-th of [n] contiguous rowid
-             chunks (bounds are computed at execution time, so a cached
-             plan keeps covering the whole table as it grows). [None]:
-             full scan. *)
-    }
+  | Seq_scan of { table : string; filter : cexpr option }
   | Index_lookup of { table : string; index : string; key : cexpr array; filter : cexpr option }
   | Index_range of {
       table : string;
@@ -64,11 +56,6 @@ and t =
   | Distinct of t
   | Union_all of t list   (* bag concatenation; UNION = Distinct over it *)
   | Limit of { limit : int option; offset : int option; input : t }
-  | Exchange of { inputs : t list; workers : int }
-      (* morsel parallelism: evaluate the inputs (disjoint partitions of
-         one logical scan) across up to [workers] pool domains and
-         concatenate their outputs in input order, so the merged stream
-         is byte-identical to running the unpartitioned operator. *)
   | Structural_join of {
       left : t;
       right : t;
@@ -155,11 +142,9 @@ let rec subplans_of (e : cexpr) : t list =
   | CScalar_plan plan -> [ plan ]
 
 (* Structure-preserving deep copies. Profiles and cost estimates key on
-   physical node identity, so when the planner replicates an operator
-   across Exchange partitions every replica must be a fresh allocation:
-   copied partitions then profile independently (the per-worker counters
-   of EXPLAIN ANALYZE) and never share mutable statistics across
-   domains. *)
+   physical node identity, so when a rewrite duplicates an expression
+   that embeds a subplan, each copy must be a fresh allocation that
+   profiles independently. *)
 let rec copy_cexpr (e : cexpr) : cexpr =
   match e with
   | CLit v -> CLit v
@@ -194,8 +179,8 @@ let rec copy_cexpr (e : cexpr) : cexpr =
 and copy_plan (p : t) : t =
   match p with
   | Single_row -> Single_row
-  | Seq_scan { table; filter; part } ->
-    Seq_scan { table; filter = Option.map copy_cexpr filter; part }
+  | Seq_scan { table; filter } ->
+    Seq_scan { table; filter = Option.map copy_cexpr filter }
   | Index_lookup { table; index; key; filter } ->
     Index_lookup
       { table; index; key = Array.map copy_cexpr key;
@@ -230,8 +215,6 @@ and copy_plan (p : t) : t =
   | Distinct input -> Distinct (copy_plan input)
   | Union_all inputs -> Union_all (List.map copy_plan inputs)
   | Limit { limit; offset; input } -> Limit { limit; offset; input = copy_plan input }
-  | Exchange { inputs; workers } ->
-    Exchange { inputs = List.map copy_plan inputs; workers }
   | Structural_join
       { left; right; interval_on_left; left_doc; right_doc; lo; hi; pos;
         lo_incl; hi_incl; cond; right_arity } ->
@@ -274,7 +257,6 @@ let descendants plan =
     | Distinct input -> go input
     | Union_all inputs -> List.iter go inputs
     | Limit { input; _ } -> go input
-    | Exchange { inputs; _ } -> List.iter go inputs
     | Structural_join { left; right; left_doc; right_doc; lo; hi; pos; cond; _ } ->
       expr left_doc; expr right_doc; expr lo; expr hi; expr pos;
       opt_expr cond; go left; go right
@@ -310,14 +292,8 @@ let to_string ?(annot = fun _ -> "") plan =
     let op_line indent s = line indent (s ^ annot node) in
     match node with
     | Single_row -> op_line indent "SingleRow"
-    | Seq_scan { table; filter; part } ->
-      let part_s =
-        match part with
-        | None -> ""
-        | Some (i, n) -> Printf.sprintf " part=%d/%d" (i + 1) n
-      in
-      op_line indent
-        (Printf.sprintf "SeqScan %s%s%s" table part_s (opt_filter filter))
+    | Seq_scan { table; filter } ->
+      op_line indent (Printf.sprintf "SeqScan %s%s" table (opt_filter filter))
     | Index_lookup { table; index; key; filter } ->
       op_line indent
         (Printf.sprintf "IndexLookup %s using %s key=(%s)%s" table index
@@ -394,9 +370,6 @@ let to_string ?(annot = fun _ -> "") plan =
            (match limit with Some n -> Printf.sprintf " limit=%d" n | None -> "")
            (match offset with Some n -> Printf.sprintf " offset=%d" n | None -> ""));
       go (indent + 1) input
-    | Exchange { inputs; workers } ->
-      op_line indent (Printf.sprintf "Exchange workers=%d" workers);
-      List.iter (go (indent + 1)) inputs
     | Structural_join
         { left; right; interval_on_left; left_doc; right_doc; lo; hi; pos;
           lo_incl; hi_incl; cond; _ } ->

@@ -88,47 +88,6 @@ let resolve env ~table ~column : Plan.cexpr =
     search (nframes - 1)
 
 (* ------------------------------------------------------------------ *)
-(* Morsel parallelism post-pass                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Minimum live rows before a base-table scan is worth partitioning
-   across domains (per-partition materialisation has fixed overhead). *)
-let par_threshold () =
-  match Sys.getenv_opt "XOMATIQ_PAR_THRESHOLD" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 0 -> n
-     | _ -> 2000)
-  | None -> 2000
-
-(* Wrap a full base-table scan in an Exchange of [jobs] range partitions.
-   Runs AFTER access-path and join-order decisions (and never changes
-   them: Exchange cost = sum of partition costs = the sequential cost),
-   so the same logical plan is chosen at any jobs setting. Correlated
-   subqueries ([outer <> []]) are re-planned per outer row and stay
-   sequential. Each partition gets a deep copy of the filter so its
-   embedded subplans are distinct physical nodes — per-partition Obs
-   stats then have a single writer each. *)
-let maybe_exchange catalog ~outer plan =
-  let jobs = Conc.Pool.jobs () in
-  if jobs <= 1 || outer <> [] then plan
-  else
-    match plan with
-    | Plan.Seq_scan { table; filter; part = None } ->
-      (match Catalog.find_table catalog table with
-       | Some t when Table.row_count t >= par_threshold () ->
-         Plan.Exchange
-           { workers = jobs;
-             inputs =
-               List.init jobs (fun i ->
-                   Plan.Seq_scan
-                     { table;
-                       filter = Option.map Plan.copy_cexpr filter;
-                       part = Some (i, jobs) }) }
-       | _ -> plan)
-    | _ -> plan
-
-(* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -524,7 +483,7 @@ and access_path catalog ~outer ~table_name ~scope preds =
     @ [ (let est = Float.max 0.01 (rows *. sel_of_preds preds) in
          let build () =
            let filter = split_conjunction (List.map (compile unit_env) preds) in
-           Plan.Seq_scan { table = Catalog.normalize table_name; filter; part = None }
+           Plan.Seq_scan { table = Catalog.normalize table_name; filter }
          in
          (build, est, rows +. 1.)) ]
   in
@@ -796,9 +755,7 @@ and plan_from catalog ~outer (from : table_ref list) (where : expr option) :
         planned;
       in_set.(!start) <- true;
       order := [ !start ];
-      let current_plan =
-        ref (maybe_exchange catalog ~outer (let p, _, _, _ = planned.(!start) in p))
-      in
+      let current_plan = ref (let p, _, _, _ = planned.(!start) in p) in
       let current_scope = ref (let _, s, _, _ = planned.(!start) in s) in
       let current_members = ref [ !start ] in
       let current_rows = ref (let _, _, est, _ = planned.(!start) in est) in
@@ -882,7 +839,7 @@ and plan_from catalog ~outer (from : table_ref list) (where : expr option) :
              current_plan :=
                Plan.Structural_join
                  { left = !current_plan;
-                   right = maybe_exchange catalog ~outer unit_plan;
+                   right = unit_plan;
                    interval_on_left;
                    left_doc = compile set_env sm.sm_doc_set;
                    right_doc = compile unit_env sm.sm_doc_unit;
@@ -909,7 +866,7 @@ and plan_from catalog ~outer (from : table_ref list) (where : expr option) :
              current_plan :=
                Plan.Hash_join
                  { left = !current_plan;
-                   right = maybe_exchange catalog ~outer unit_plan;
+                   right = unit_plan;
                    left_keys; right_keys;
                    cond = None; left_outer = false;
                    right_arity = Array.length unit_scope }
@@ -960,7 +917,7 @@ and plan_from_structural catalog ~outer from where =
              (fun c -> { qualifier = Some alias; name = c })
              (Schema.column_names (Table.schema table)))
       in
-      (Plan.Seq_scan { table = Catalog.normalize name; filter = None; part = None }, scope)
+      (Plan.Seq_scan { table = Catalog.normalize name; filter = None }, scope)
     | Derived { select; alias } ->
       let sub = plan_select_in catalog ~outer select in
       let scope =

@@ -20,7 +20,7 @@ type planned = {
           no rule fired *)
   est_cost : float;
       (** root cost estimate of the final (rewritten) plan in the cost
-          model's "rows touched" unit; the adaptive scheduler's cost
+          model's "rows touched" unit; the scheduler's inline/dispatch
           gate compares it against [Conc.Sched.cost_threshold] *)
 }
 

@@ -50,7 +50,7 @@ val metrics : t -> string
 (** The server's metrics snapshot (JSON). *)
 
 val set_option : t -> name:string -> value:string -> string
-(** Set a session option ([strategy] / [format] / [jobs]); returns the
+(** Set a session option ([strategy] / [format]); returns the
     acknowledgement. *)
 
 val query_pipelined :

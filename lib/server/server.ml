@@ -174,8 +174,8 @@ let render_request t sess token kind text =
 (* Chunked result streaming: 64 KiB R frames, then the D trailer. *)
 let chunk_size = 64 * 1024
 
-(* Plan one request into [(job, dispatch)]: [job] produces the response
-   body on whichever thread runs it, [dispatch] says whether it goes off
+(* Plan one request into [(job, lane)]: [job] produces the response
+   body on whichever thread runs it, [lane] says whether it goes off
    the calling thread (so the socket stays watched) or runs inline.
 
    The request is planned *here*, on the calling thread (a plan-cache
@@ -217,9 +217,7 @@ let plan_work t sess token kind text =
         sess.Session.prep <- Some (text, pt);
         (pt, Xomatiq.Engine.prepared_hit pt)
     in
-    let decision =
-      Conc.Sched.plan_decision ~est_cost:(Xomatiq.Engine.prepared_cost pt)
-    in
+    let lane = Conc.Sched.lane ~est_cost:(Xomatiq.Engine.prepared_cost pt) in
     let job () =
       let t0 = Obs.now_s () in
       let result =
@@ -236,14 +234,10 @@ let plan_work t sess token kind text =
         (List.length result.Xomatiq.Engine.rows)
         result.Xomatiq.Engine.cached
     in
-    (job, decision.Conc.Sched.par)
+    (job, lane)
   | `Sql -> begin
     let db = Datahounds.Warehouse.db t.wh in
     let planned_job planned =
-      let decision =
-        Conc.Sched.plan_decision
-          ~est_cost:planned.Rdb.Planner.est_cost
-      in
       let job () =
         let t0 = Obs.now_s () in
         let columns, rows =
@@ -251,7 +245,7 @@ let plan_work t sess token kind text =
         in
         finish ~t0 (values_to_table columns rows) (List.length rows) false
       in
-      (job, decision.Conc.Sched.par)
+      (job, Conc.Sched.lane ~est_cost:planned.Rdb.Planner.est_cost)
     in
     match Rdb.Sql_parser.parse text with
     | Rdb.Sql_ast.Select_stmt sel ->
@@ -260,15 +254,15 @@ let plan_work t sess token kind text =
       planned_job (Rdb.Planner.plan_query (Rdb.Database.catalog db) q)
     | _ ->
       (* DML / DDL / transaction control: statement-level locking
-         serializes writers; nothing to fan out, so stay inline *)
-      (render_job `Sql, false)
+         serializes writers, so stay inline *)
+      (render_job `Sql, Conc.Sched.Inline)
     | exception (Rdb.Sql_parser.Parse_error _ as e) ->
       raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
   end
   (* pure planning, never worth a dispatch *)
-  | `Explain -> (render_job `Explain, false)
+  | `Explain -> (render_job `Explain, Conc.Sched.Inline)
   (* executes the query with unknown-ahead cost: keep it cancelable *)
-  | `Analyze -> (render_job `Analyze, true)
+  | `Analyze -> (render_job `Analyze, Conc.Sched.Dispatch)
 
 let storage_json wh =
   let db = Datahounds.Warehouse.db wh in
@@ -299,11 +293,6 @@ let metrics_payload t sess =
   ^ ", \"storage\": " ^ storage_json t.wh
   ^ ", \"replication\": " ^ replication_json t
   ^ ", \"session\": " ^ Session.info_json sess ^ "}"
-
-let apply_session_jobs sess =
-  match sess.Session.jobs with
-  | Some n when n <> Conc.Pool.jobs () -> Conc.Pool.set_jobs n
-  | _ -> ()
 
 let timeout_deadline t =
   match t.cfg.query_timeout_s with
@@ -544,13 +533,12 @@ let rec pump rl conn =
 
 and start_query rl conn kind text =
   let t = rl.srv in
-  apply_session_jobs conn.c_sess;
   let token = Rdb.Cancel.create ~deadline:(timeout_deadline t) () in
   match plan_work t conn.c_sess token kind text with
   | exception e ->
     emit_outcome rl conn (Error e);
     pump rl conn
-  | job, false ->
+  | job, Conc.Sched.Inline ->
     (* Inline on the reactor thread: no hand-off, no wakeup. The cost
        gate keeps these cheap, so other connections wait microseconds —
        the same trade the session thread made before, now shared. *)
@@ -559,7 +547,7 @@ and start_query rl conn kind text =
     emit_outcome rl conn outcome;
     conn.last_activity <- Obs.now_s ();
     pump rl conn
-  | job, true ->
+  | job, Conc.Sched.Dispatch ->
     Obs.Counter.incr m_sched_dispatched;
     dispatch_job rl conn token job (fun outcome ->
         conn.inflight <- None;
@@ -968,8 +956,8 @@ let run cfg wh =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Printf.printf
     "xomatiq server listening on %s:%d (event-driven, max-clients=%d \
-     queue-depth=%d window=%d jobs=%d)\n%!"
+     queue-depth=%d window=%d)\n%!"
     cfg.host (port t)
-    cfg.max_clients cfg.queue_depth cfg.pipeline_window (Conc.Pool.jobs ());
+    cfg.max_clients cfg.queue_depth cfg.pipeline_window;
   wait t;
   Printf.printf "xomatiq server drained\n%!"

@@ -5,7 +5,6 @@ type t = {
   connected_at : float;
   mutable contains : Xomatiq.Xq2sql.contains_strategy;
   mutable format : format;
-  mutable jobs : int option;
   mutable queries : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
@@ -14,8 +13,7 @@ type t = {
 
 let create ~id =
   { id; connected_at = Rdb.Obs.now_s (); contains = `Keyword_index;
-    format = `Table; jobs = None; queries = 0; bytes_in = 0; bytes_out = 0;
-    prep = None }
+    format = `Table; queries = 0; bytes_in = 0; bytes_out = 0; prep = None }
 
 let strategy_name = function
   | `Keyword_index -> "keyword"
@@ -40,38 +38,14 @@ let set_option t ~name ~value =
      | "xml" -> t.format <- `Xml; Ok "format xml"
      | "" -> Ok ("format " ^ match t.format with `Table -> "table" | `Xml -> "xml")
      | other -> Error (Printf.sprintf "unknown format %S (table | xml)" other))
-  | "jobs" ->
-    (match String.lowercase_ascii value with
-     | "" ->
-       (match t.jobs with
-        | Some n -> Ok (Printf.sprintf "jobs %d (session override)" n)
-        | None ->
-          Ok (Printf.sprintf "jobs %d (server default)" (Conc.Pool.jobs ())))
-     | "default" ->
-       t.jobs <- None;
-       Ok (Printf.sprintf "jobs %d (server default)" (Conc.Pool.jobs ()))
-     | v ->
-       (match int_of_string_opt v with
-        | Some n when n >= 1 && n <= 64 ->
-          t.jobs <- Some n;
-          Ok
-            (Printf.sprintf
-               "jobs %d (applied to this session's queries; the domain \
-                pool is shared process-wide)"
-               n)
-        | _ -> Error "jobs must be an integer in [1, 64], or 'default'"))
-  | other ->
-    Error
-      (Printf.sprintf "unknown option %S (strategy | format | jobs)" other)
+  | other -> Error (Printf.sprintf "unknown option %S (strategy | format)" other)
 
 let info_json t =
   Printf.sprintf
     "{\"id\": %d, \"connected_s\": %.3f, \"strategy\": \"%s\", \"format\": \
-     \"%s\", \"jobs_override\": %s, \"queries\": %d, \"bytes_in\": %d, \
-     \"bytes_out\": %d}"
+     \"%s\", \"queries\": %d, \"bytes_in\": %d, \"bytes_out\": %d}"
     t.id
     (Rdb.Obs.now_s () -. t.connected_at)
     (strategy_name t.contains)
     (match t.format with `Table -> "table" | `Xml -> "xml")
-    (match t.jobs with Some n -> string_of_int n | None -> "null")
     t.queries t.bytes_in t.bytes_out

@@ -123,12 +123,7 @@ let normalize_query_text text =
     text;
   Buffer.contents buf
 
-(* The effective worker count is part of the key: a plan built at jobs=4
-   carries Exchange partitions that a jobs=1 run must not reuse (and vice
-   versa), exactly like the contains-strategy tag. *)
-let strategy_tag strategy =
-  let s = match strategy with `Keyword_index -> "kw" | `Like_scan -> "like" in
-  Printf.sprintf "%s/j%d" s (Conc.Pool.jobs ())
+let strategy_tag = function `Keyword_index -> "kw" | `Like_scan -> "like"
 
 let catalog_version wh =
   Rdb.Catalog.version (Rdb.Database.catalog (Datahounds.Warehouse.db wh))
@@ -436,8 +431,7 @@ let prepared_cost pt =
   | None -> 0.
 
 (* A memoized preparation stays valid while the warehouse, its catalog
-   version and every plan-shaping setting (contains strategy and jobs,
-   both folded into the tag) are unchanged. *)
+   version and the contains strategy (the tag) are unchanged. *)
 let prepared_valid ~contains_strategy wh pt =
   pt.pt_entry.ce_wh == wh
   && pt.pt_entry.ce_version = catalog_version wh

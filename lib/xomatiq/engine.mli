@@ -124,7 +124,7 @@ val prepared_valid :
   contains_strategy:Xq2sql.contains_strategy ->
   Datahounds.Warehouse.t -> prepared_text -> bool
 (** True while the preparation still matches this warehouse, its catalog
-    version, and every plan-shaping setting (contains strategy, jobs). *)
+    version, and contains strategy. *)
 
 val run_prepared_text :
   ?cancel:Rdb.Cancel.t -> cached:bool -> prepared_text -> result

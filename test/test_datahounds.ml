@@ -595,6 +595,62 @@ let test_load_universe () =
   check (list string) "collections" [ "hlx_embl.inv"; "hlx_enzyme.DEFAULT"; "hlx_sprot.all" ]
     (D.Warehouse.collections wh)
 
+(* ---------------- harvest errors ---------------- *)
+
+let contains_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+(* Harvest [text] into a fresh warehouse: the result and how many
+   documents it left installed. *)
+let harvest_error source text =
+  let wh = fresh_warehouse () in
+  D.Warehouse.register_source wh source;
+  let r = D.Warehouse.harvest wh source text in
+  let docs =
+    D.Warehouse.document_count wh ~collection:source.D.Warehouse.source_collection
+  in
+  D.Warehouse.close wh;
+  (r, docs)
+
+let test_harvest_error_positions () =
+  (* a malformed third entry: the error names its whole-file entry/line
+     position, and a parse failure installs nothing *)
+  let good n =
+    Printf.sprintf "ID   %d.1.1.1\nDE   Enzyme number %d.\n//" n n
+  in
+  let bad_text =
+    String.concat "\n" [ good 1; good 2; "ID   3.1.1.1"; "X"; "//"; good 4; "" ]
+  in
+  (match harvest_error D.Warehouse.enzyme_source bad_text with
+   | Error m, docs ->
+     check bool ("position is whole-file: " ^ m) true
+       (contains_sub m "entry 2" && contains_sub m "line 8");
+     check int "installs nothing" 0 docs
+   | Ok _, _ -> fail "expected the load to fail");
+  (* an unterminated final entry is an error too *)
+  (match
+     harvest_error D.Warehouse.enzyme_source
+       (String.concat "\n" [ good 1; "ID   2.1.1.1" ])
+   with
+   | Error _, docs -> check int "unterminated: installs nothing" 0 docs
+   | Ok _, _ -> fail "expected the unterminated load to fail");
+  (* an entry with no ID line before a malformed one: the whole text is
+     split into entries before any entry is parsed, so the malformed
+     line is the error *)
+  let no_id =
+    String.concat "\n"
+      [ "ID   1.1.1.1"; "DE   Enzyme one."; "//"; "DE   Entry without an ID line.";
+        "//"; "ID   3.1.1.1"; "X"; "//" ]
+  in
+  match harvest_error D.Warehouse.enzyme_source no_id with
+  | Error m, docs ->
+    check bool ("reports the malformed line: " ^ m) true
+      (contains_sub m "flat-file error in entry 2 (line 7)");
+    check int "no ID line: installs nothing" 0 docs
+  | Ok _, _ -> fail "expected the no-ID-line load to fail"
+
 (* ---------------- durability ---------------- *)
 
 let with_temp_wal f =
@@ -943,6 +999,8 @@ let () =
       ("remote",
        [ Alcotest.test_case "publish/poll/fetch" `Quick test_remote_publish_poll;
          Alcotest.test_case "mirror cycle" `Quick test_remote_mirror_cycle ]);
+      ("harvest-errors",
+       [ Alcotest.test_case "error positions" `Quick test_harvest_error_positions ]);
       ("durability",
        [ Alcotest.test_case "restart recovery" `Quick test_warehouse_durability;
          Alcotest.test_case "crash mid-sync" `Quick test_warehouse_crash_mid_sync ]);

@@ -127,58 +127,14 @@ RETURN $a//embl_accession_number|}
     (like "alpha_2");
   D.Warehouse.close wh
 
-(* Parallel determinism: the same mix, every seed, both contains()
-   rewrites, evaluated with the domain pool at jobs=1 and jobs=4 — the
-   rendered output must be byte-identical. XOMATIQ_PAR_THRESHOLD is
-   forced to 1 so the planner wraps even these small test tables in
-   Exchange operators and the parallel path is genuinely exercised. *)
-let with_forced_parallelism f =
-  Unix.putenv "XOMATIQ_PAR_THRESHOLD" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "XOMATIQ_PAR_THRESHOLD" "") f
-
 let strategies = [ ("keyword-index", `Keyword_index); ("like-scan", `Like_scan) ]
-
-let run_jobs_determinism seed () =
-  with_forced_parallelism @@ fun () ->
-  let u = universe_of seed in
-  let wh = D.Warehouse.create () in
-  (match Workload.Genbio.load_universe wh u with
-   | Ok () -> ()
-   | Error m -> failwith m);
-  let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:4 in
-  List.iter
-    (fun (cls, text) ->
-      let name = Workload.Query_mix.class_name cls in
-      List.iter
-        (fun (slabel, strategy) ->
-          let at jobs =
-            Conc.Pool.with_jobs jobs (fun () ->
-                Xomatiq.Engine.run_text ~contains_strategy:strategy wh text)
-          in
-          let seq = at 1 and par = at 4 in
-          check (list string)
-            (Printf.sprintf "%s/%s labels jobs=1 vs jobs=4 (seed %d): %s"
-               name slabel seed text)
-            seq.Xomatiq.Engine.labels par.Xomatiq.Engine.labels;
-          check rows_testable
-            (Printf.sprintf "%s/%s rows jobs=1 vs jobs=4 (seed %d): %s"
-               name slabel seed text)
-            seq.Xomatiq.Engine.rows par.Xomatiq.Engine.rows;
-          check string
-            (Printf.sprintf "%s/%s rendered table byte-identical (seed %d): %s"
-               name slabel seed text)
-            (Xomatiq.Engine.result_to_table seq)
-            (Xomatiq.Engine.result_to_table par))
-        strategies)
-    mix;
-  D.Warehouse.close wh
 
 (* ---------------- structural join vs the reference evaluator ----------------
 
    The planner's structural (interval containment) merge join must
    compute exactly what the XML semantics says: over random document
-   trees, for both contains() rewrites, at jobs=1 and jobs=4, the
-   rendered table must be byte-identical to Xomatiq.Eval's. *)
+   trees, for both contains() rewrites, the rendered table must be
+   byte-identical to Xomatiq.Eval's. *)
 
 let structural_queries =
   [ {|FOR $e IN document("c")/list
@@ -241,21 +197,14 @@ let structural_join_prop =
           in
           List.iter
             (fun (slabel, strategy) ->
-              List.iter
-                (fun jobs ->
-                  let got =
-                    with_forced_parallelism (fun () ->
-                        Conc.Pool.with_jobs jobs (fun () ->
-                            Xomatiq.Engine.result_to_table
-                              (Xomatiq.Engine.run_text
-                                 ~contains_strategy:strategy wh text)))
-                  in
-                  if got <> reference then
-                    QCheck.Test.fail_reportf
-                      "structural/%s jobs=%d differs from reference on %s:\n\
-                       %s\nvs\n%s"
-                      slabel jobs text got reference)
-                [ 1; 4 ])
+              let got =
+                Xomatiq.Engine.result_to_table
+                  (Xomatiq.Engine.run_text ~contains_strategy:strategy wh text)
+              in
+              if got <> reference then
+                QCheck.Test.fail_reportf
+                  "structural/%s differs from reference on %s:\n%s\nvs\n%s"
+                  slabel text got reference)
             strategies)
         structural_queries;
       D.Warehouse.close wh;
@@ -453,11 +402,6 @@ let rewrite_rule_prop =
       Fun.protect ~finally:(fun () -> Rdb.Database.close db) @@ fun () ->
       let queries = vec_queries k in
       List.iter (check_rules_on db) queries;
-      (* same plans, Exchange-wrapped: forced parallelism exercises the
-         Filter-over-Exchange merge and prune-inside-partitions paths *)
-      with_forced_parallelism (fun () ->
-          Conc.Pool.with_jobs 4 (fun () ->
-              List.iter (check_rules_on db) queries));
       true)
 
 (* The property would pass vacuously for a rule that never fires; the
@@ -490,13 +434,6 @@ let () =
         QCheck_alcotest.to_alcotest structural_join_prop
         :: [ Alcotest.test_case "planner picks StructuralJoin" `Quick
                run_structural_plan_chosen ] );
-      ( "jobs-determinism",
-        [ Alcotest.test_case "seed 11, jobs=1 vs jobs=4" `Quick
-            (run_jobs_determinism 11);
-          Alcotest.test_case "seed 23, jobs=1 vs jobs=4" `Quick
-            (run_jobs_determinism 23);
-          Alcotest.test_case "seed 47, jobs=1 vs jobs=4" `Quick
-            (run_jobs_determinism 47) ] );
       ( "rewrite-rules",
         [ QCheck_alcotest.to_alcotest rewrite_rule_prop;
           Alcotest.test_case "every rule fired somewhere" `Quick

@@ -249,37 +249,32 @@ let golden name actual =
 
 let test_golden_plans () =
   let wh = Lazy.force loaded_warehouse in
-  (* pin to one worker: the snapshots record the sequential rewritten
-     plans — a multicore run (XOMATIQ_JOBS) would wrap big scans in
-     Exchange *)
-  Conc.Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun (name, q) ->
-          golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
-        [ ("fig8-keyword", fig8_keyword_query);
-          ("fig9-subtree", fig9_subtree_query);
-          ("fig11-join", fig11_join_query) ])
+  List.iter
+    (fun (name, q) ->
+      golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
+    [ ("fig8-keyword", fig8_keyword_query);
+      ("fig9-subtree", fig9_subtree_query);
+      ("fig11-join", fig11_join_query) ]
 
 (* the three figure queries must actually take the vectorized path: the
    rewrite footer and a fused scan+filter prove the batch executor and
    the rewrite pass both see them *)
 let test_vectorized_plans () =
   let wh = Lazy.force loaded_warehouse in
-  Conc.Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun (name, q) ->
-          let s = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q) in
-          check bool
-            (name ^ ": explain has vectorized footer")
-            true
-            (contains_sub ~needle:"Vectorized: batch=" s);
-          check bool
-            (name ^ ": a scan+filter was fused")
-            true
-            (contains_sub ~needle:"[fused=scan+filter]" s))
-        [ ("fig8-keyword", fig8_keyword_query);
-          ("fig9-subtree", fig9_subtree_query);
-          ("fig11-join", fig11_join_query) ])
+  List.iter
+    (fun (name, q) ->
+      let s = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q) in
+      check bool
+        (name ^ ": explain has vectorized footer")
+        true
+        (contains_sub ~needle:"Vectorized: batch=" s);
+      check bool
+        (name ^ ": a scan+filter was fused")
+        true
+        (contains_sub ~needle:"[fused=scan+filter]" s))
+    [ ("fig8-keyword", fig8_keyword_query);
+      ("fig9-subtree", fig9_subtree_query);
+      ("fig11-join", fig11_join_query) ]
 
 (* ---------------- runner ---------------- *)
 

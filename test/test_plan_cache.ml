@@ -120,38 +120,10 @@ let test_invalidation () =
     (Xomatiq.Engine.cache_stats ());
   D.Warehouse.close wh
 
-(* Regression: the effective worker count is part of the cache key. A
-   plan translated at jobs=1 carries no Exchange operators; serving it
-   at jobs=4 (or vice versa) would silently pin the parallelism of the
-   first caller. Each jobs setting must translate its own entry, and
-   repeat runs at the same setting must hit it. *)
-let test_jobs_in_key () =
-  let wh = fresh_warehouse () in
-  Unix.putenv "XOMATIQ_PAR_THRESHOLD" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "XOMATIQ_PAR_THRESHOLD" "")
-  @@ fun () ->
-  Xomatiq.Engine.cache_clear ();
-  let at jobs = Conc.Pool.with_jobs jobs (fun () -> Xomatiq.Engine.run_text wh q) in
-  let r1 = at 1 in
-  check Alcotest.int "jobs=1 translates" 1 (misses ());
-  let r4 = at 4 in
-  check Alcotest.int "jobs=4 misses: distinct key" 2 (misses ());
-  check Alcotest.int "jobs=4 did not hit the jobs=1 entry" 0 (hits ());
-  check rows_t "both settings agree" r1.Xomatiq.Engine.rows r4.Xomatiq.Engine.rows;
-  ignore (at 4);
-  check Alcotest.int "repeat at jobs=4 hits" 1 (hits ());
-  ignore (at 1);
-  check Alcotest.int "back at jobs=1 hits its own entry" 2 (hits ());
-  check Alcotest.int "no extra translations" 2 (misses ());
-  D.Warehouse.close wh
-
 let () =
   Alcotest.run "plan-cache"
     [ ( "cache",
         [ Alcotest.test_case "hits return identical results" `Quick
             test_hits_identical;
           Alcotest.test_case "DML/DDL/ANALYZE invalidate" `Quick
-            test_invalidation;
-          Alcotest.test_case "worker count is part of the key" `Quick
-            test_jobs_in_key ] ) ]
+            test_invalidation ] ) ]

@@ -411,6 +411,12 @@ let test_bad_set_option () =
   (match Xserver.Client.set_option c ~name:"strategy" ~value:"psychic" with
    | _ -> fail "bad strategy accepted"
    | exception Xserver.Client.Server_error _ -> ());
+  (* there is no worker setting: [jobs] is an unknown option *)
+  (match Xserver.Client.set_option c ~name:"jobs" ~value:"2" with
+   | _ -> fail "jobs option accepted"
+   | exception Xserver.Client.Server_error (_, m) ->
+     check Alcotest.bool ("unknown option: " ^ m) true
+       (String.length m >= 14 && String.sub m 0 14 = "unknown option"));
   check Alcotest.string "usable after rejected option" "ok"
     (Xserver.Client.ping c "ok")
 
@@ -514,9 +520,6 @@ let test_query_timeout () =
   check Alcotest.bool "real query still works" true (s.P.sum_rows > 0)
 
 let test_client_cancel () =
-  (* mid-flight CANCEL needs the query on a worker domain so the session
-     thread keeps watching the socket *)
-  Conc.Pool.set_jobs 2;
   with_warehouse 7 @@ fun wh _u ->
   with_server wh @@ fun _t port ->
   let c = connect ~timeout_s:30. port in
@@ -530,6 +533,36 @@ let test_client_cancel () =
      check Alcotest.string "cancel code" P.err_canceled code
    | tag, _ -> fail (Printf.sprintf "expected error frame, got %C" tag));
   check Alcotest.string "usable after cancel" "ok" (Xserver.Client.ping c "ok")
+
+(* An expensive query is dispatched off the reactor thread whatever the
+   host's core count: while connection A runs a runaway cross product,
+   connection B is still served promptly, and a CANCEL on A still
+   reaches the running query. Were the query run on the reactor thread,
+   B's PING would wait for A's 3 s deadline. *)
+let test_slow_query_leaves_reactor_free () =
+  with_warehouse 7 @@ fun wh _u ->
+  let cfg =
+    { Xserver.Server.default_config with query_timeout_s = Some 3. }
+  in
+  with_server ~cfg wh @@ fun _t port ->
+  let a = connect ~timeout_s:30. port in
+  Fun.protect ~finally:(fun () -> Xserver.Client.close a) @@ fun () ->
+  let b = connect ~timeout_s:30. port in
+  Fun.protect ~finally:(fun () -> Xserver.Client.close b) @@ fun () ->
+  Xserver.Client.send_raw a P.tag_sql slow_sql;
+  Thread.delay 0.2;
+  let t0 = Rdb.Obs.now_s () in
+  check Alcotest.string "B answered" "b" (Xserver.Client.ping b "b");
+  let waited = Rdb.Obs.now_s () -. t0 in
+  check Alcotest.bool
+    (Printf.sprintf "B's PING answered within 1 s (%.2fs)" waited)
+    true (waited < 1.);
+  Xserver.Client.send_raw a P.tag_cancel "";
+  match Xserver.Client.read_raw a with
+  | tag, payload when tag = P.tag_error ->
+    let code, _ = P.parse_error_payload payload in
+    check Alcotest.string "A's query canceled" P.err_canceled code
+  | tag, _ -> fail (Printf.sprintf "expected error frame, got %C" tag)
 
 (* The idle reaper only ticks between requests — a query that runs past
    the idle deadline completes in full (no mid-ROWS-frame close), the
@@ -933,6 +966,8 @@ let () =
       ( "degradation",
         [ Alcotest.test_case "query timeout (typed, connection survives)"
             `Quick test_query_timeout;
+          Alcotest.test_case "slow query leaves the reactor free" `Quick
+            test_slow_query_leaves_reactor_free;
           Alcotest.test_case "client CANCEL mid-query" `Quick
             test_client_cancel;
           Alcotest.test_case "idle reaper spares in-flight queries" `Quick
