@@ -112,52 +112,24 @@ let values_to_table columns rows =
        (fun r -> Array.to_list (Array.map Rdb.Value.to_string r))
        rows)
 
-(* Render one request into (body, summary ingredients). Runs on
-   whichever thread the scheduler picked; everything it raises is
-   reported as a typed error frame. *)
-let render_request t sess token kind text =
+(* Render one request that [plan_work] does not plan itself: a SQL
+   statement other than a query, or EXPLAIN [ANALYZE] of a FLWR text.
+   Runs on whichever thread the scheduler picked; everything it raises
+   is reported as a typed error frame. *)
+let render_request t kind text =
   match kind with
-  | `Query ->
-    let result =
-      Xomatiq.Engine.run_text ~contains_strategy:sess.Session.contains
-        ~cancel:token t.wh text
-    in
-    let body =
-      match sess.Session.format with
-      | `Table -> Xomatiq.Engine.result_to_table result
-      | `Xml ->
-        Gxml.Printer.document_to_string ~pretty:true
-          (Xomatiq.Engine.result_to_xml result)
-    in
-    (body, List.length result.Xomatiq.Engine.rows,
-     result.Xomatiq.Engine.cached)
-  | `Sql -> begin
-    let db = Datahounds.Warehouse.db t.wh in
-    match Rdb.Sql_parser.parse text with
-    | Rdb.Sql_ast.Select_stmt sel ->
-      let planned = Rdb.Database.plan_select db sel in
-      let columns, rows = Rdb.Database.run_planned db ~cancel:token planned in
-      (values_to_table columns rows, List.length rows, false)
-    | Rdb.Sql_ast.Query_stmt q ->
-      let planned = Rdb.Planner.plan_query (Rdb.Database.catalog db) q in
-      let columns, rows = Rdb.Database.run_planned db ~cancel:token planned in
-      (values_to_table columns rows, List.length rows, false)
-    | stmt -> begin
-      (* DML / DDL / EXPLAIN run on the warehouse's default session;
-         statement-level locking inside the database serializes writers. *)
-      if t.cfg.read_only && not (P.stmt_is_read stmt) then
-        raise Read_only_violation;
-      match Rdb.Database.exec_exn db text with
-      | Rdb.Database.Rows { columns; rows } ->
-        (values_to_table columns rows, List.length rows, false)
-      | Rdb.Database.Affected n ->
-        (Printf.sprintf "%d row(s) affected\n" n, n, false)
-      | Rdb.Database.Done msg -> (msg ^ "\n", 0, false)
-      | Rdb.Database.Explained s -> (s ^ "\n", 0, false)
-      | exception Failure m -> raise (Xomatiq.Engine.Query_error m)
-    end
-    | exception (Rdb.Sql_parser.Parse_error _ as e) ->
-      raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
+  | `Sql stmt -> begin
+    (* DML / DDL / EXPLAIN run on the warehouse's default session;
+       statement-level locking inside the database serializes writers. *)
+    if t.cfg.read_only && not (P.stmt_is_read stmt) then
+      raise Read_only_violation;
+    match Rdb.Database.exec_exn (Datahounds.Warehouse.db t.wh) text with
+    | Rdb.Database.Rows { columns; rows } ->
+      (values_to_table columns rows, List.length rows)
+    | Rdb.Database.Affected n -> (Printf.sprintf "%d row(s) affected\n" n, n)
+    | Rdb.Database.Done msg -> (msg ^ "\n", 0)
+    | Rdb.Database.Explained s -> (s ^ "\n", 0)
+    | exception Failure m -> raise (Xomatiq.Engine.Query_error m)
   end
   | (`Explain | `Analyze) as k -> begin
     match Xomatiq.Parser.parse text with
@@ -166,7 +138,7 @@ let render_request t sess token kind text =
         if k = `Analyze then Xomatiq.Engine.explain_analyze
         else Xomatiq.Engine.explain
       in
-      (explain t.wh ast ^ "\n", 0, false)
+      (explain t.wh ast ^ "\n", 0)
     | exception (Xomatiq.Parser.Parse_error _ as e) ->
       raise (Xomatiq.Engine.Query_error (Xomatiq.Parser.error_to_string e))
   end
@@ -179,12 +151,11 @@ let chunk_size = 64 * 1024
    the calling thread (so the socket stays watched) or runs inline.
 
    The request is planned *here*, on the calling thread (a plan-cache
-   lookup on the hot path, or the session's own memoized preparation),
-   and the root cost estimate picks the lane: a cheap query never pays
-   the dispatch round-trip, an expensive one keeps the dispatched path
-   so CANCEL frames and deadlines stay live mid-query.
-   Planning errors raise [Query_error] from here, exactly as they would
-   from inside the dispatched task. *)
+   lookup on the hot path), and the root cost estimate picks the lane:
+   a cheap query never pays the dispatch round-trip, an expensive one
+   keeps the dispatched path so CANCEL frames and deadlines stay live
+   mid-query. Planning errors raise [Query_error] from here, exactly as
+   they would from inside the dispatched task. *)
 let plan_work t sess token kind text =
   let finish ~t0 body rows cached =
     let exec_s = Obs.now_s () -. t0 in
@@ -197,32 +168,19 @@ let plan_work t sess token kind text =
   let render_job kind =
     fun () ->
       let t0 = Obs.now_s () in
-      let body, rows, cached = render_request t sess token kind text in
-      finish ~t0 body rows cached
+      let body, rows = render_request t kind text in
+      finish ~t0 body rows false
   in
   match kind with
   | `Query ->
-    let strategy = sess.Session.contains in
-    let pt, cached =
-      match sess.Session.prep with
-      | Some (txt, pt)
-        when txt = text
-             && Xomatiq.Engine.prepared_valid ~contains_strategy:strategy
-                  t.wh pt ->
-        (pt, true)
-      | _ ->
-        let pt =
-          Xomatiq.Engine.prepare_text ~contains_strategy:strategy t.wh text
-        in
-        sess.Session.prep <- Some (text, pt);
-        (pt, Xomatiq.Engine.prepared_hit pt)
+    let pt =
+      Xomatiq.Engine.prepare_text ~contains_strategy:sess.Session.contains
+        t.wh text
     in
     let lane = Conc.Sched.lane ~est_cost:(Xomatiq.Engine.prepared_cost pt) in
     let job () =
       let t0 = Obs.now_s () in
-      let result =
-        Xomatiq.Engine.run_prepared_text ~cancel:token ~cached pt
-      in
+      let result = Xomatiq.Engine.run_prepared ~cancel:token pt in
       let body =
         match sess.Session.format with
         | `Table -> Xomatiq.Engine.result_to_table result
@@ -252,10 +210,10 @@ let plan_work t sess token kind text =
       planned_job (Rdb.Database.plan_select db sel)
     | Rdb.Sql_ast.Query_stmt q ->
       planned_job (Rdb.Planner.plan_query (Rdb.Database.catalog db) q)
-    | _ ->
+    | stmt ->
       (* DML / DDL / transaction control: statement-level locking
          serializes writers, so stay inline *)
-      (render_job `Sql, Conc.Sched.Inline)
+      (render_job (`Sql stmt), Conc.Sched.Inline)
     | exception (Rdb.Sql_parser.Parse_error _ as e) ->
       raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
   end

@@ -8,12 +8,11 @@ type t = {
   mutable queries : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
-  mutable prep : (string * Xomatiq.Engine.prepared_text) option;
 }
 
 let create ~id =
   { id; connected_at = Rdb.Obs.now_s (); contains = `Keyword_index;
-    format = `Table; queries = 0; bytes_in = 0; bytes_out = 0; prep = None }
+    format = `Table; queries = 0; bytes_in = 0; bytes_out = 0 }
 
 let strategy_name = function
   | `Keyword_index -> "keyword"

@@ -17,11 +17,6 @@ type t = {
   mutable queries : int;    (** requests that produced a result stream *)
   mutable bytes_in : int;
   mutable bytes_out : int;
-  mutable prep : (string * Xomatiq.Engine.prepared_text) option;
-      (** session-pinned preparation of the last Query text: a client
-          re-running its hot query skips the plan-cache mutex and
-          hashtable (revalidated against the catalog version and the
-          plan-shaping settings on every use) *)
 }
 
 val create : id:int -> t

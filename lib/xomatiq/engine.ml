@@ -71,27 +71,31 @@ let empty_trace ~parse_s ~xq2sql_s =
     indexes = []; result_rows = 0; operator_rows = 0; index_probes = 0;
     hash_build_rows = 0; plan = None }
 
-(* ---------------- translated-plan cache ----------------
+(* ---------------- prepared queries and the plan cache ----------------
 
-   Queries on the untraced relational path skip the whole
-   parse / XQ2SQL / SQL-parse / plan pipeline when the same text was
-   translated before against the same warehouse and catalog version.
-   The version stamp (bumped by every DDL, DML and ANALYZE) makes
-   entries self-invalidating: a stale entry simply fails the guard and
-   is re-translated and replaced on the next lookup. *)
+   A prepared query holds everything a run needs after translation: the
+   result labels, the SQL text and its physical plan. [prepare] builds
+   one from an AST; [prepare_text] goes through the translated-plan
+   cache, and so does the untraced relational path of [run] (keyed by
+   the generated SQL, so programmatic runs of the same query skip SQL
+   parse + planning exactly like textual ones). The version stamp
+   (bumped by every DDL, DML and ANALYZE) makes entries
+   self-invalidating: a stale entry simply fails the guard and is
+   re-translated and replaced on the next lookup. *)
 
-type cache_entry = {
-  ce_wh : Datahounds.Warehouse.t;
-  ce_version : int;             (* catalog version at translation time *)
-  ce_labels : string list;
-  ce_sql : string;
-  ce_plan : Rdb.Planner.planned option;  (* None when statically empty *)
+type prepared = {
+  p_wh : Datahounds.Warehouse.t;
+  p_version : int;             (* catalog version at translation time *)
+  p_labels : string list;
+  p_sql : string;
+  p_plan : Rdb.Planner.planned option;  (* None when statically empty *)
+  p_hit : bool;                (* served from the plan cache *)
 }
 
 (* The cache is process-global and the stress tests run queries from
    several domains at once, so every access goes through one mutex. *)
 let cache_lock = Mutex.create ()
-let plan_cache : (string * string, cache_entry) Hashtbl.t = Hashtbl.create 64
+let plan_cache : (string * string, prepared) Hashtbl.t = Hashtbl.create 64
 let cache_hits = ref 0
 let cache_misses = ref 0
 
@@ -107,18 +111,26 @@ let cache_clear () =
       cache_hits := 0;
       cache_misses := 0)
 
-(* Whitespace-insensitive key: trim and collapse runs of blanks. *)
+(* Whitespace-insensitive key: trim and collapse runs of blanks outside
+   quoted literals. Inside '...' or "..." every byte is kept, so two
+   texts that differ only in a literal never share an entry (SQL's ''
+   escape closes and reopens the quote, which keeps it verbatim too). *)
 let normalize_query_text text =
   let buf = Buffer.create (String.length text) in
   let pending = ref false and started = ref false in
+  let quote = ref None in
   String.iter
     (fun c ->
-      match c with
-      | ' ' | '\t' | '\n' | '\r' -> if !started then pending := true
-      | c ->
+      match !quote, c with
+      | Some q, c ->
+        if c = q then quote := None;
+        Buffer.add_char buf c
+      | None, (' ' | '\t' | '\n' | '\r') -> if !started then pending := true
+      | None, c ->
         if !pending then Buffer.add_char buf ' ';
         pending := false;
         started := true;
+        if c = '\'' || c = '"' then quote := Some c;
         Buffer.add_char buf c)
     text;
   Buffer.contents buf
@@ -128,91 +140,86 @@ let strategy_tag = function `Keyword_index -> "kw" | `Like_scan -> "like"
 let catalog_version wh =
   Rdb.Catalog.version (Rdb.Database.catalog (Datahounds.Warehouse.db wh))
 
-(* Parse and plan the translated SQL via the plan cache, keyed by the
-   generated SQL text: programmatic (AST-entry) runs of the same query
-   then skip SQL parse + planning exactly like textual ones. *)
-let planned_of_sql ~strategy wh sql =
-  let db = Datahounds.Warehouse.db wh in
-  let key = (normalize_query_text sql, strategy_tag strategy) in
+(* The one plan-cache lookup. A miss builds the entry and caches it
+   before it runs: a query that then fails, times out or is canceled
+   does not pay translation again. *)
+let through_cache ~key wh build =
   let version = catalog_version wh in
   let hit =
     locked (fun () ->
         match Hashtbl.find_opt plan_cache key with
-        | Some e when e.ce_wh == wh && e.ce_version = version ->
+        | Some p when p.p_wh == wh && p.p_version = version ->
           incr cache_hits;
-          Some e
+          Some p
         | _ ->
           incr cache_misses;
           None)
   in
   match hit with
-  | Some { ce_plan = Some planned; _ } -> (planned, true)
-  | _ ->
-    let planned =
-      match Rdb.Sql_parser.parse sql with
-      | Rdb.Sql_ast.Select_stmt sel ->
-        (try Rdb.Planner.plan_select (Rdb.Database.catalog db) sel
-         with Rdb.Planner.Plan_error m -> error "planning failed: %s" m)
-      | Rdb.Sql_ast.Query_stmt qq ->
-        (try Rdb.Planner.plan_query (Rdb.Database.catalog db) qq
-         with Rdb.Planner.Plan_error m -> error "planning failed: %s" m)
-      | _ -> error "internal: translation did not produce a SELECT"
-      | exception ((Rdb.Sql_parser.Parse_error _ | Rdb.Sql_lexer.Lex_error _) as e)
-        -> error "internal: %s" (Rdb.Sql_parser.error_to_string e)
-    in
-    let e =
-      { ce_wh = wh; ce_version = version; ce_labels = []; ce_sql = sql;
-        ce_plan = Some planned }
-    in
-    locked (fun () -> Hashtbl.replace plan_cache key e);
-    (planned, false)
+  | Some p -> { p with p_hit = true }
+  | None ->
+    let p = build ~version in
+    locked (fun () -> Hashtbl.replace plan_cache key p);
+    p
+
+(* SQL text -> physical plan, in two halves so a traced run can time
+   the SQL-parse and plan stages apart. XQ2SQL output always parses to
+   a query, so any failure here is internal or a planning error. *)
+let parse_sql sql =
+  try Rdb.Sql_parser.parse sql with
+  | (Rdb.Sql_parser.Parse_error _ | Rdb.Sql_lexer.Lex_error _) as e ->
+    error "internal: %s" (Rdb.Sql_parser.error_to_string e)
+
+let plan_stmt wh stmt =
+  let cat = Rdb.Database.catalog (Datahounds.Warehouse.db wh) in
+  try
+    match stmt with
+    | Rdb.Sql_ast.Select_stmt sel -> Rdb.Planner.plan_select cat sel
+    | Rdb.Sql_ast.Query_stmt qq -> Rdb.Planner.plan_query cat qq
+    | _ -> error "internal: translation did not produce a SELECT"
+  with Rdb.Planner.Plan_error m -> error "planning failed: %s" m
+
+let prepared_of_translation ~version wh (t : Xq2sql.translation) =
+  { p_wh = wh; p_version = version; p_labels = t.labels; p_sql = t.sql;
+    p_plan =
+      (if t.statically_empty then None
+       else Some (plan_stmt wh (parse_sql t.sql)));
+    p_hit = false }
+
+let run_prepared ?cancel p =
+  let rows =
+    match p.p_plan with
+    | None -> []
+    | Some planned ->
+      (try
+         to_string_rows
+           (snd
+              (Rdb.Database.run_planned ?cancel
+                 (Datahounds.Warehouse.db p.p_wh) planned))
+       with Rdb.Executor.Runtime_error m ->
+         error "SQL execution failed: %s\n%s" m p.p_sql)
+  in
+  { labels = p.p_labels; rows; sql = p.p_sql; trace = None; cached = p.p_hit }
 
 let run_relational ?contains_strategy ?cancel ~trace ~parse_s wh (q : Ast.t) =
   let db = Datahounds.Warehouse.db wh in
   let t, xq2sql_s = timed (fun () -> translate ?contains_strategy db q) in
-  if not trace then begin
-    if t.statically_empty then
-      { labels = t.labels; rows = []; sql = t.sql; trace = None;
-        cached = false }
-    else begin
-      let strategy =
-        match contains_strategy with
-        | Some s -> s
-        | None -> `Keyword_index
-      in
-      let planned, cached = planned_of_sql ~strategy wh t.sql in
-      let rows =
-        try snd (Rdb.Database.run_planned db ?cancel planned) with
-        | Rdb.Executor.Runtime_error m ->
-          error "SQL execution failed: %s\n%s" m t.sql
-      in
-      { labels = t.labels; rows = to_string_rows rows; sql = t.sql;
-        trace = None; cached }
-    end
-  end
-  else if t.statically_empty then
+  if t.statically_empty then
     { labels = t.labels; rows = []; sql = t.sql;
-      trace = Some (empty_trace ~parse_s ~xq2sql_s); cached = false }
+      trace = (if trace then Some (empty_trace ~parse_s ~xq2sql_s) else None);
+      cached = false }
+  else if not trace then begin
+    let strategy = Option.value contains_strategy ~default:`Keyword_index in
+    let key = (normalize_query_text t.sql, strategy_tag strategy) in
+    run_prepared ?cancel
+      (through_cache ~key wh (fun ~version ->
+           prepared_of_translation ~version wh t))
+  end
   else begin
-    (* Decomposed pipeline: same semantics as [Database.query t.sql] but
-       each stage is timed and execution runs under an Obs profile. *)
-    let stmt, sql_parse_s =
-      timed (fun () ->
-          try Rdb.Sql_parser.parse t.sql with
-          | (Rdb.Sql_parser.Parse_error _ | Rdb.Sql_lexer.Lex_error _) as e ->
-            error "internal: %s" (Rdb.Sql_parser.error_to_string e))
-    in
-    let planned, plan_s =
-      timed (fun () ->
-          try
-            match stmt with
-            | Rdb.Sql_ast.Select_stmt sel ->
-              Rdb.Planner.plan_select (Rdb.Database.catalog db) sel
-            | Rdb.Sql_ast.Query_stmt qq ->
-              Rdb.Planner.plan_query (Rdb.Database.catalog db) qq
-            | _ -> error "internal: translation did not produce a SELECT"
-          with Rdb.Planner.Plan_error m -> error "planning failed: %s" m)
-    in
+    (* Traced runs bypass the cache: each stage is timed and execution
+       runs under an Obs profile. *)
+    let stmt, sql_parse_s = timed (fun () -> parse_sql t.sql) in
+    let planned, plan_s = timed (fun () -> plan_stmt wh stmt) in
     let obs = Rdb.Obs.create planned.Rdb.Planner.plan in
     let rows, execute_s =
       timed (fun () ->
@@ -264,181 +271,40 @@ let run ?(mode = `Relational) ?contains_strategy ?(trace = false) wh q =
   | `Relational -> run_relational ?contains_strategy ~trace ~parse_s:0. wh q
   | `Reference -> run_reference ~trace ~parse_s:0. wh q
 
-let run_cache_entry ?cancel ~cached e =
-  match e.ce_plan with
-  | None ->
-    { labels = e.ce_labels; rows = []; sql = e.ce_sql; trace = None; cached }
-  | Some planned ->
-    let _, rows =
-      try
-        Rdb.Database.run_planned ?cancel (Datahounds.Warehouse.db e.ce_wh)
-          planned
-      with Rdb.Executor.Runtime_error m ->
-        error "SQL execution failed: %s\n%s" m e.ce_sql
-    in
-    { labels = e.ce_labels; rows = to_string_rows rows; sql = e.ce_sql;
-      trace = None; cached }
+let parse_text text =
+  match Parser.parse text with
+  | q -> q
+  | exception (Parser.Parse_error _ as e) -> error "%s" (Parser.error_to_string e)
+  | exception Ast.Invalid_query m -> error "invalid query: %s" m
 
-(* Parse, translate and plan [text] into a fresh cache entry (no cache
-   interaction). Shared by the run-and-populate path and the server's
-   prepare path. *)
-let entry_of_text ~contains_strategy ~version wh text =
-  let q =
-    match Parser.parse text with
-    | q -> q
-    | exception (Parser.Parse_error _ as e) ->
-      error "%s" (Parser.error_to_string e)
-    | exception Ast.Invalid_query m -> error "invalid query: %s" m
-  in
+let prepare ?contains_strategy wh (q : Ast.t) =
   let db = Datahounds.Warehouse.db wh in
-  let t = translate ~contains_strategy db q in
-  let ce_plan =
-    if t.statically_empty then None
-    else
-      match Rdb.Sql_parser.parse t.sql with
-      | Rdb.Sql_ast.Select_stmt sel ->
-        (try Some (Rdb.Planner.plan_select (Rdb.Database.catalog db) sel)
-         with Rdb.Planner.Plan_error m -> error "planning failed: %s" m)
-      | Rdb.Sql_ast.Query_stmt qq ->
-        (try Some (Rdb.Planner.plan_query (Rdb.Database.catalog db) qq)
-         with Rdb.Planner.Plan_error m -> error "planning failed: %s" m)
-      | _ -> error "internal: translation did not produce a SELECT"
-      | exception ((Rdb.Sql_parser.Parse_error _ | Rdb.Sql_lexer.Lex_error _) as e)
-        -> error "internal: %s" (Rdb.Sql_parser.error_to_string e)
-  in
-  { ce_wh = wh; ce_version = version; ce_labels = t.labels; ce_sql = t.sql;
-    ce_plan }
+  prepared_of_translation ~version:(catalog_version wh) wh
+    (translate ?contains_strategy db q)
 
-let run_text_cached ?cancel ~contains_strategy wh text =
+let prepare_text ~contains_strategy wh text =
   let key = (normalize_query_text text, strategy_tag contains_strategy) in
-  let version = catalog_version wh in
-  let hit =
-    locked (fun () ->
-        match Hashtbl.find_opt plan_cache key with
-        | Some e when e.ce_wh == wh && e.ce_version = version ->
-          incr cache_hits;
-          Some e
-        | _ ->
-          incr cache_misses;
-          None)
-  in
-  match hit with
-  | Some e -> run_cache_entry ?cancel ~cached:true e
-  | None ->
-    let e = entry_of_text ~contains_strategy ~version wh text in
-    let r = run_cache_entry ?cancel ~cached:false e in
-    (* only successful translations+executions are cached *)
-    locked (fun () -> Hashtbl.replace plan_cache key e);
-    r
+  through_cache ~key wh (fun ~version ->
+      let db = Datahounds.Warehouse.db wh in
+      prepared_of_translation ~version wh
+        (translate ~contains_strategy db (parse_text text)))
+
+let prepared_cost p =
+  match p.p_plan with
+  | Some planned -> planned.Rdb.Planner.est_cost
+  | None -> 0.
 
 let run_text ?(mode = `Relational) ?(contains_strategy = `Keyword_index)
     ?(trace = false) ?cancel wh text =
   match mode with
   | `Relational when not trace ->
-    run_text_cached ?cancel ~contains_strategy wh text
+    run_prepared ?cancel (prepare_text ~contains_strategy wh text)
   | _ ->
-    let q, parse_s =
-      timed (fun () ->
-          match Parser.parse text with
-          | q -> q
-          | exception (Parser.Parse_error _ as e) ->
-            error "%s" (Parser.error_to_string e)
-          | exception Ast.Invalid_query m -> error "invalid query: %s" m)
-    in
+    let q, parse_s = timed (fun () -> parse_text text) in
     (match mode with
      | `Relational ->
        run_relational ~contains_strategy ?cancel ~trace ~parse_s wh q
      | `Reference -> run_reference ~trace ~parse_s wh q)
-
-(* ---------------- prepared queries ---------------- *)
-
-type prepared = {
-  prep_wh : Datahounds.Warehouse.t;
-  prep_labels : string list;
-  prep_sql : string;
-  prep_plan : Rdb.Planner.planned option;  (* None when statically empty *)
-}
-
-let prepare ?contains_strategy wh (q : Ast.t) =
-  let db = Datahounds.Warehouse.db wh in
-  let t = translate ?contains_strategy db q in
-  let prep_plan =
-    if t.statically_empty then None
-    else
-      match Rdb.Sql_parser.parse t.sql with
-      | Rdb.Sql_ast.Select_stmt sel ->
-        (try Some (Rdb.Database.plan_select db sel)
-         with Rdb.Planner.Plan_error m -> error "planning failed: %s" m)
-      | _ -> error "internal: translation did not produce a SELECT"
-      | exception e -> error "internal: %s" (Rdb.Sql_parser.error_to_string e)
-  in
-  { prep_wh = wh; prep_labels = t.labels; prep_sql = t.sql; prep_plan }
-
-let run_prepared p =
-  match p.prep_plan with
-  | None ->
-    { labels = p.prep_labels; rows = []; sql = p.prep_sql; trace = None;
-      cached = false }
-  | Some planned ->
-    let _, rows = Rdb.Database.run_planned (Datahounds.Warehouse.db p.prep_wh) planned in
-    { labels = p.prep_labels;
-      rows = to_string_rows rows;
-      sql = p.prep_sql;
-      trace = None;
-      cached = false }
-
-(* ---------------- server-side text preparation ----------------
-
-   The query server plans on the session thread — one plan-cache lookup
-   on the hot path — reads the root cost estimate off the plan to pick a
-   scheduling lane (inline vs. pool dispatch), and only then runs the
-   query. Unlike [run_text_cached], preparation populates the cache
-   before execution: a query that later times out or is canceled should
-   not pay translation again. *)
-
-type prepared_text = {
-  pt_entry : cache_entry;
-  pt_tag : string;   (* strategy_tag at preparation time *)
-  pt_hit : bool;     (* served from the plan cache *)
-}
-
-let prepare_text ~contains_strategy wh text =
-  let tag = strategy_tag contains_strategy in
-  let key = (normalize_query_text text, tag) in
-  let version = catalog_version wh in
-  let hit =
-    locked (fun () ->
-        match Hashtbl.find_opt plan_cache key with
-        | Some e when e.ce_wh == wh && e.ce_version = version ->
-          incr cache_hits;
-          Some e
-        | _ ->
-          incr cache_misses;
-          None)
-  in
-  match hit with
-  | Some e -> { pt_entry = e; pt_tag = tag; pt_hit = true }
-  | None ->
-    let e = entry_of_text ~contains_strategy ~version wh text in
-    locked (fun () -> Hashtbl.replace plan_cache key e);
-    { pt_entry = e; pt_tag = tag; pt_hit = false }
-
-let prepared_hit pt = pt.pt_hit
-
-let prepared_cost pt =
-  match pt.pt_entry.ce_plan with
-  | Some planned -> planned.Rdb.Planner.est_cost
-  | None -> 0.
-
-(* A memoized preparation stays valid while the warehouse, its catalog
-   version and the contains strategy (the tag) are unchanged. *)
-let prepared_valid ~contains_strategy wh pt =
-  pt.pt_entry.ce_wh == wh
-  && pt.pt_entry.ce_version = catalog_version wh
-  && pt.pt_tag = strategy_tag contains_strategy
-
-let run_prepared_text ?cancel ~cached pt =
-  run_cache_entry ?cancel ~cached pt.pt_entry
 
 let explain wh q =
   let db = Datahounds.Warehouse.db wh in

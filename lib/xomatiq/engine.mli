@@ -92,44 +92,27 @@ type prepared
 val prepare :
   ?contains_strategy:Xq2sql.contains_strategy ->
   Datahounds.Warehouse.t -> Ast.t -> prepared
-
-val run_prepared : prepared -> result
-
-(** {2 Server-side text preparation}
-
-    The query server's scheduling gate needs the plan's cost estimate
-    *before* deciding where to run the query, so planning and execution
-    are split: {!prepare_text} resolves the text through the plan cache
-    (populating it on a miss, before any execution), {!prepared_cost}
-    exposes the root cost estimate, and {!run_prepared_text} executes.
-    A session memoizes its last preparation and revalidates it with
-    {!prepared_valid} — repeated hot queries then skip the cache mutex
-    and hashtable entirely. *)
-
-type prepared_text
+(** Translate and plan [q] without touching the plan cache.
+    @raise Query_error on translation or planning failure. *)
 
 val prepare_text :
   contains_strategy:Xq2sql.contains_strategy ->
-  Datahounds.Warehouse.t -> string -> prepared_text
-(** @raise Query_error on parse, translation or planning failure. *)
+  Datahounds.Warehouse.t -> string -> prepared
+(** Parse, translate and plan a query text through the plan cache (the
+    cache {!run_text} uses), populating it on a miss before any
+    execution. The query server plans this way so that it can read the
+    cost estimate before deciding where the query runs.
+    @raise Query_error on parse, translation or planning failure. *)
 
-val prepared_hit : prepared_text -> bool
-(** Whether {!prepare_text} was served from the plan cache. *)
-
-val prepared_cost : prepared_text -> float
+val prepared_cost : prepared -> float
 (** Root cost estimate of the prepared plan ("rows touched"); [0.] for
     statically-empty queries. *)
 
-val prepared_valid :
-  contains_strategy:Xq2sql.contains_strategy ->
-  Datahounds.Warehouse.t -> prepared_text -> bool
-(** True while the preparation still matches this warehouse, its catalog
-    version, and contains strategy. *)
-
-val run_prepared_text :
-  ?cancel:Rdb.Cancel.t -> cached:bool -> prepared_text -> result
-(** Execute a prepared text; [cached] is echoed as {!result.cached}
-    (the server reports its memo hits through it). *)
+val run_prepared : ?cancel:Rdb.Cancel.t -> prepared -> result
+(** Execute a prepared query; {!result.cached} reports whether
+    {!prepare_text} served it from the plan cache. [cancel] works as in
+    {!run_text}.
+    @raise Query_error wrapping execution failures. *)
 
 val explain : Datahounds.Warehouse.t -> Ast.t -> string
 (** The SQL text and the physical plan chosen by the relational

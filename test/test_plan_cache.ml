@@ -120,10 +120,48 @@ let test_invalidation () =
     (Xomatiq.Engine.cache_stats ());
   D.Warehouse.close wh
 
+(* Blanks inside a string literal belong to the query: a text that
+   differs from a cached one only there must miss and get its own
+   answer, on the textual path (keyed on the text) and on the AST path
+   (keyed on the translated SQL). *)
+let test_literal_whitespace () =
+  let wh = fresh_warehouse () in
+  Xomatiq.Engine.cache_clear ();
+  let desc =
+    (List.find
+       (fun (e : D.Enzyme.t) -> String.contains e.description ' ')
+       universe.Workload.Genbio.enzymes)
+      .description
+  in
+  let widened =
+    let i = String.index desc ' ' in
+    String.sub desc 0 i ^ " " ^ String.sub desc i (String.length desc - i)
+  in
+  let query d =
+    Printf.sprintf
+      {|FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE $a//enzyme_description = "%s"
+RETURN $a//enzyme_id|}
+      d
+  in
+  let r1 = Xomatiq.Engine.run_text wh (query desc) in
+  check Alcotest.bool "the literal matches an entry" true (r1.rows <> []);
+  let r2 = Xomatiq.Engine.run_text wh (query widened) in
+  check Alcotest.bool "widened literal misses" false r2.cached;
+  check rows_t "widened literal matches nothing" [] r2.rows;
+  let run text = Xomatiq.Engine.run wh (Xomatiq.Parser.parse text) in
+  check rows_t "AST path: the literal" r1.rows (run (query desc)).rows;
+  let r3 = run (query widened) in
+  check Alcotest.bool "AST path: widened literal misses" false r3.cached;
+  check rows_t "AST path: widened literal matches nothing" [] r3.rows;
+  D.Warehouse.close wh
+
 let () =
   Alcotest.run "plan-cache"
     [ ( "cache",
         [ Alcotest.test_case "hits return identical results" `Quick
             test_hits_identical;
           Alcotest.test_case "DML/DDL/ANALYZE invalidate" `Quick
-            test_invalidation ] ) ]
+            test_invalidation;
+          Alcotest.test_case "blanks inside a literal are part of the key"
+            `Quick test_literal_whitespace ] ) ]

@@ -51,6 +51,48 @@ let simple_query =
   "FOR $e IN document(\"hlx_enzyme.DEFAULT\") RETURN \
    $e/hlx_enzyme/db_entry/enzyme_id"
 
+(* The paper's Fig. 8/9/11 texts: the closed-loop mix the throughput
+   floors below run. *)
+let figure_queries =
+  [ {|FOR $a IN document("hlx_embl.inv")/hlx_n_sequence,
+    $b IN document("hlx_sprot.all")/hlx_n_sequence
+WHERE contains($a, "cdc6", any) AND contains($b, "cdc6", any)
+RETURN $b//sprot_accession_number, $a//embl_accession_number|};
+    {|FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//catalytic_activity, "ketone")
+RETURN $a//enzyme_id, $a//enzyme_description|};
+    {|FOR $a IN document("hlx_embl.inv")/hlx_n_sequence/db_entry,
+    $b IN document("hlx_enzyme.DEFAULT")/hlx_enzyme/db_entry
+WHERE $a//qualifier[@qualifier_type = "EC number"] = $b/enzyme_id
+RETURN $Accession_Number = $a//embl_accession_number,
+       $Accession_Description = $a//description|} ]
+
+(* Requests per second of one closed-loop client: [round ()] sends
+   requests back to back and returns how many it sent; it is repeated
+   for a 0.05 s window. *)
+let window_qps round =
+  let t0 = Unix.gettimeofday () in
+  let n = ref 0 in
+  while Unix.gettimeofday () -. t0 < 0.05 do
+    n := !n + round ()
+  done;
+  float_of_int !n /. (Unix.gettimeofday () -. t0)
+
+(* The best window of each of two clients over 40 pairs of windows.
+   Interference from other processes only ever slows a window down, so
+   a floor compares best windows; the two sides alternate, each going
+   first in every other pair, so a slow stretch of the host hits both.
+   On a shared 2-core host, windows of 0.25 s or longer, or fewer of
+   them, let one slow stretch decide a floor. *)
+let best_windows a b =
+  let best_a = ref 0. and best_b = ref 0. in
+  let once round best = best := Float.max !best (window_qps round) in
+  for i = 1 to 40 do
+    if i mod 2 = 1 then (once a best_a; once b best_b)
+    else (once b best_b; once a best_a)
+  done;
+  (!best_a, !best_b)
+
 (* ---------------- framing ---------------- *)
 
 let with_socketpair f =
@@ -721,6 +763,43 @@ let test_pipelined_queries () =
   check Alcotest.string "usable after pipelined batches" "ok"
     (Xserver.Client.ping c "ok")
 
+(* What pipelining removes is per-request wire overhead (syscalls,
+   wakeups, client/server switches), so the mix is protocol-bound by
+   construction: two SQL probes whose execution takes microseconds.
+   W=8 must run at >= 1.3x the W=1 rate. The client runs in a domain of
+   its own, as an outside client would: on the reactor's domain it
+   takes turns with the server for one runtime lock, which hides the
+   overlap pipelining buys (on a 2-core host with other test processes
+   running: 1.35-1.61x there, 1.54-2.17x from its own domain). *)
+let test_pipelining_speedup () =
+  with_warehouse 11 @@ fun wh _u ->
+  with_server wh @@ fun _t port ->
+  let c = connect ~timeout_s:60. port in
+  Fun.protect ~finally:(fun () -> Xserver.Client.close c) @@ fun () ->
+  let batch =
+    List.init 64 (fun i ->
+        if i mod 2 = 0 then "SELECT 1" else "SELECT path FROM xml_path LIMIT 1")
+  in
+  let round window () =
+    List.iter
+      (function
+        | Ok _ -> ()
+        | Error (code, m) ->
+          fail (Printf.sprintf "pipelined probe failed: [%s] %s" code m))
+      (Xserver.Client.query_pipelined ~sql:true ~window c batch);
+    List.length batch
+  in
+  ignore (round 8 ());
+  let w1, w8 =
+    Domain.join @@ Domain.spawn @@ fun () ->
+    best_windows (round 1) (round 8)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "W=8 runs >= 1.3x W=1 (%.0f vs %.0f QPS, %.2fx)" w8 w1
+       (w8 /. w1))
+    true
+    (w8 >= 1.3 *. w1)
+
 (* A burst past the server's pipeline window must be answered in full.
    Once read, the surplus frames live in the server's userspace decoder
    — the kernel socket buffer is empty, so no further readable event
@@ -796,67 +875,165 @@ let proc_status_int field =
   close_in ic;
   v
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
 (* 500 connections sit idle while one active client runs the 3-seed
    differential mix: results stay byte-identical, and the idle herd
    costs neither threads (the reactor owns every socket) nor unbounded
-   memory (~12 KiB of buffers per connection). *)
+   memory (~12 KiB of buffers per connection), nor throughput: the
+   active client's closed-loop Fig. 8/9/11 rate keeps >= 0.9x of two
+   baselines. One is its own rate on the same server with the herd
+   closed, when no parked connection exists anywhere in the process, so
+   it also sees process-wide costs of the herd (descriptors, heap, GC).
+   The other is a second server over the same warehouse while the herd
+   is parked; it shares the process with the herd, so it sees only
+   costs inside the herd server's reactor. Parking and closing the herd
+   take tens of milliseconds, so the herd comes and goes 20 times. Each
+   window with the herd parked is paired with the window in the same
+   place of a closed-herd phase and with the herd-free-server window
+   next to it, and a floor holds the median ratio of the 40 pairs: load
+   from other processes slows both windows of a pair alike, where a
+   comparison of single best windows lets one quiet stretch decide. *)
 let test_idle_connection_soak () =
   ignore (Conc.Reactor.raise_fd_limit 8192);
   with_warehouse 11 @@ fun wh u ->
+  let n_idle = 500 in
+  (* room for a closed herd the reactor has not reaped yet *)
   let cfg =
-    { Xserver.Server.default_config with max_clients = 600; queue_depth = 8 }
+    { Xserver.Server.default_config with
+      max_clients = (2 * n_idle) + 100; queue_depth = 8 }
   in
   with_server ~cfg wh @@ fun _t port ->
-  let n_idle = 500 in
+  with_server wh @@ fun _bare bare_port ->
+  let c = connect ~timeout_s:60. port in
+  Fun.protect ~finally:(fun () -> Xserver.Client.close c) @@ fun () ->
+  let alone = connect ~timeout_s:60. bare_port in
+  Fun.protect ~finally:(fun () -> Xserver.Client.close alone) @@ fun () ->
+  let mix_round c () =
+    List.iter (fun q -> ignore (Xserver.Client.query c q)) figure_queries;
+    List.length figure_queries
+  in
+  ignore (mix_round c ());
+  ignore (mix_round alone ());
+  (* Parking or closing the herd allocates or frees some MB of buffers
+     at once; a full major GC after each settles that debt, so the
+     windows measure the herd sitting idle, not its arrival. *)
+  let idle = ref [||] in
+  let park () =
+    idle := Array.init n_idle (fun _ -> connect port);
+    Gc.full_major ()
+  in
+  let drop_herd () =
+    Array.iter (fun c -> try Xserver.Client.close c with _ -> ()) !idle;
+    idle := [||]
+  in
+  let close_herd () =
+    drop_herd ();
+    (* the reactor reads the herd's EOFs before this answer *)
+    ignore (Xserver.Client.ping c "closed");
+    Gc.full_major ()
+  in
+  Fun.protect ~finally:drop_herd @@ fun () ->
   let threads_before = proc_status_int "Threads:" in
   let rss_before = proc_status_int "VmRSS:" in
-  let idle = Array.init n_idle (fun _ -> connect port) in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun c -> try Xserver.Client.close c with _ -> ())
-        idle)
-    (fun () ->
-      let threads_after = proc_status_int "Threads:" in
-      check Alcotest.bool
-        (Printf.sprintf "threads do not scale with idle connections (%d -> %d)"
-           threads_before threads_after)
-        true
-        (threads_after - threads_before <= 2);
-      let rss_after = proc_status_int "VmRSS:" in
-      check Alcotest.bool
-        (Printf.sprintf "%d idle connections cost < 100 MB RSS (+%d kB)" n_idle
-           (rss_after - rss_before))
-        true
-        (rss_after - rss_before < 100 * 1024);
-      let c = connect ~timeout_s:60. port in
-      Fun.protect ~finally:(fun () -> Xserver.Client.close c) @@ fun () ->
+  park ();
+  let threads_after = proc_status_int "Threads:" in
+  check Alcotest.bool
+    (Printf.sprintf "threads do not scale with idle connections (%d -> %d)"
+       threads_before threads_after)
+    true
+    (threads_after - threads_before <= 2);
+  let rss_after = proc_status_int "VmRSS:" in
+  check Alcotest.bool
+    (Printf.sprintf "%d idle connections cost < 100 MB RSS (+%d kB)" n_idle
+       (rss_after - rss_before))
+    true
+    (rss_after - rss_before < 100 * 1024);
+  close_herd ();
+  (* A phase alternates the active client with the herd-free server
+     the same way whether the herd is closed or parked, so switching
+     between the two servers costs both phases alike. The closed phase
+     leads in odd rounds and trails in even ones. *)
+  let pairs = ref [] in
+  let window c = window_qps (mix_round c) in
+  let phase () =
+    let c1 = window c in
+    let a1 = window alone in
+    let a2 = window alone in
+    let c2 = window c in
+    ((c1, a1), (c2, a2))
+  in
+  let herd_phase () =
+    park ();
+    let windows = phase () in
+    close_herd ();
+    windows
+  in
+  for round = 1 to 20 do
+    let ((h1, a1), (h2, a2)), ((c1, _), (c2, _)) =
+      if round mod 2 = 1 then
+        let closed = phase () in
+        (herd_phase (), closed)
+      else
+        let herd = herd_phase () in
+        (herd, phase ())
+    in
+    pairs := (h1, (c1, a1)) :: (h2, (c2, a2)) :: !pairs
+  done;
+  let ratio f = median (List.map (fun (h, b) -> h /. f b) !pairs) in
+  let vs_closed = ratio fst and vs_alone = ratio snd in
+  let best f = List.fold_left (fun m p -> Float.max m (f p)) 0. !pairs in
+  check Alcotest.bool
+    (Printf.sprintf
+       "active client keeps >= 0.9x of its closed-loop QPS with the %d idle \
+        connections closed (median of %d paired windows %.2fx; best %.0f -> \
+        %.0f)"
+       n_idle (List.length !pairs) vs_closed
+       (best (fun (_, (b, _)) -> b))
+       (best fst))
+    true
+    (vs_closed >= 0.9);
+  check Alcotest.bool
+    (Printf.sprintf
+       "active client keeps >= 0.9x of the QPS of a server without the %d \
+        idle connections (median of %d paired windows %.2fx; best %.0f -> \
+        %.0f)"
+       n_idle (List.length !pairs) vs_alone
+       (best (fun (_, (_, b)) -> b))
+       (best fst))
+    true
+    (vs_alone >= 0.9);
+  park ();
+  List.iter
+    (fun seed ->
+      let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:1 in
       List.iter
-        (fun seed ->
-          let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:1 in
-          List.iter
-            (fun (_cls, text) ->
-              let want =
-                Xomatiq.Engine.result_to_table (Xomatiq.Engine.run_text wh text)
-              in
-              let body, _ = Xserver.Client.query c text in
-              if body <> want then
-                fail
-                  (Printf.sprintf
-                     "active client diverged under idle load (seed %d): %s" seed
-                     text))
-            mix)
-        [ 11; 23; 47 ];
-      (* the idle herd survived the active phase *)
-      check Alcotest.string "idle connection still alive" "hi"
-        (Xserver.Client.ping idle.(n_idle / 2) "hi"))
+        (fun (_cls, text) ->
+          let want =
+            Xomatiq.Engine.result_to_table (Xomatiq.Engine.run_text wh text)
+          in
+          let body, _ = Xserver.Client.query c text in
+          if body <> want then
+            fail
+              (Printf.sprintf
+                 "active client diverged under idle load (seed %d): %s" seed
+                 text))
+        mix)
+    [ 11; 23; 47 ];
+  (* the idle herd survived the active phase *)
+  check Alcotest.string "idle connection still alive" "hi"
+    (Xserver.Client.ping !idle.(n_idle / 2) "hi")
 
 (* ---------------- differential: concurrent = sequential ---------------- *)
 
 (* Eight concurrent sessions, alternating contains-strategies, each
    running the full workload mix — every response must be byte-identical
    to the sequential in-process rendering computed up front, with cheap
-   queries inline and session-memoized preparations — and likewise with
+   queries inline and repeats served by the plan cache — and likewise with
    xomatiq/1 pipelining ([pipelined] sends each session's mix W=8 at a
    time). *)
 let run_concurrent_differential ?(pipelined = false) seed () =
@@ -959,7 +1136,9 @@ let () =
             test_pipelined_burst_over_window ] );
       ( "pipelining",
         [ Alcotest.test_case "W=8 in order, per-slot errors, idle CANCEL"
-            `Quick test_pipelined_queries ] );
+            `Quick test_pipelined_queries;
+          Alcotest.test_case "W=8 >= 1.3x W=1 on a protocol-bound mix"
+            `Quick test_pipelining_speedup ] );
       ( "soak",
         [ Alcotest.test_case "500 idle connections, active client unharmed"
             `Quick test_idle_connection_soak ] );
