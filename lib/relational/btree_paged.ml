@@ -9,7 +9,8 @@
              internal: leftmost child page (child0)
      8  u16 x ncells  slot array, key order; each slot is the page
                       offset of a cell
-     cells packed downward from the page end:
+     cells below the page end, anywhere between the slot array and
+     the page end (removals leave holes; see below):
        u16 klen | key bytes | u32 value        (inline key)
        u16 0x8000|0 | u32 total | u32 first | u32 value
                                                (overflow key: chain of
@@ -24,7 +25,20 @@
    exactly the posting-list append of the in-memory {!Btree} — while
    lookups and removals descend by lower bound and walk the run across
    leaf boundaries. Keys compare decoded ({!Btree.compare_key}), never
-   byte-wise: [Int 3] and [Float 3.] are the same key in both engines. *)
+   byte-wise: [Int 3] and [Float 3.] are the same key in both engines;
+   equal encoded bytes only short-cut that comparison to "equal".
+
+   Maintenance works on the bytes of the pinned page. One descent
+   binary-searches each page's slot array, decoding only the keys it
+   probes (an overflow key from its chain). An insert that fits writes
+   its cell into the free gap above the slot array and shifts the slots
+   after it; a removal deletes its slots, leaving the cell bytes as a
+   hole that the next insert short of contiguous room compacts away.
+   Whether a cell fits is decided by the cells' total size, never by
+   where holes fall, so a tree splits exactly when a freshly packed node
+   would overflow. Only a node that must split is decoded into a cell
+   array ([read_node]), cut at [split_point] and written back as two
+   packed pages. *)
 
 let ps = Bufpool.page_size
 let none32 = 0xFFFFFFFF
@@ -35,7 +49,7 @@ let max_inline_key = 2048
 exception Duplicate of Value.t array
 
 type cell = {
-  key : string;             (* encoded key, always materialised *)
+  key : string;             (* encoded key; "" for a spilled key *)
   value : int;
   big : (int * int) option; (* (total_len, first_page) when spilled *)
 }
@@ -105,42 +119,65 @@ let read_big t (len, first) =
   go first 0;
   Bytes.unsafe_to_string buf
 
-(* ---- node (de)serialisation ---- *)
+(* ---- cells on the page ---- *)
 
-let cell_size c = match c.big with Some _ -> 2 + 12 | None -> 2 + String.length c.key + 4
+let kind b = Char.code (Bytes.get b 0)
+let ncells b = get_u16 b 2
+let link b = get_u32 b 4
+let slot b i = get_u16 b (hdr + (2 * i))
+let is_big b off = get_u16 b off land 0x8000 <> 0
+let cell_len b off = if is_big b off then 14 else 6 + get_u16 b off
+let cell_value b off = get_u32 b (off + cell_len b off - 4)
 
-let node_size n =
-  Array.fold_left (fun acc c -> acc + 2 + cell_size c) hdr n.cells
+let cell_size c = match c.big with Some _ -> 14 | None -> 6 + String.length c.key
+
+let put_cell b off c =
+  match c.big with
+  | Some (total, first) ->
+    set_u16 b off 0x8000;
+    set_u32 b (off + 2) total;
+    set_u32 b (off + 6) first;
+    set_u32 b (off + 10) c.value
+  | None ->
+    let n = String.length c.key in
+    set_u16 b off n;
+    Bytes.blit_string c.key 0 b (off + 2) n;
+    set_u32 b (off + 2 + n) c.value
+
+let dec = Rowcodec.decode_string
+let cmp = Btree.compare_key
+
+let cell_key t b off =
+  if is_big b off then dec (read_big t (get_u32 b (off + 2), get_u32 b (off + 6)))
+  else fst (Rowcodec.decode b (off + 2))
+
+let same_bytes b off s =
+  let n = String.length s in
+  get_u16 b off = n
+  &&
+  let rec go i = i = n || (Bytes.get b (off + 2 + i) = s.[i] && go (i + 1)) in
+  go 0
+
+(* The cell at [off] against the search key [k] (encoded [k_enc]). *)
+let cmp_cell t b off k k_enc =
+  if (not (is_big b off)) && same_bytes b off k_enc then 0
+  else cmp (cell_key t b off) k
+
+(* ---- node (de)serialisation: the split path and bulk load ---- *)
 
 let read_node t page =
   Bufpool.with_page t.pool t.file page (fun b ->
-      let kind = Char.code (Bytes.get b 0) in
-      let ncells = get_u16 b 2 in
-      let link = get_u32 b 4 in
       let cells =
-        Array.init ncells (fun i ->
-            let off = get_u16 b (hdr + (2 * i)) in
-            let klen = get_u16 b off in
-            if klen land 0x8000 <> 0 then
-              let total = get_u32 b (off + 2) in
-              let first = get_u32 b (off + 6) in
-              { key = ""; value = get_u32 b (off + 10); big = Some (total, first) }
+        Array.init (ncells b) (fun i ->
+            let off = slot b i in
+            if is_big b off then
+              { key = ""; value = get_u32 b (off + 10);
+                big = Some (get_u32 b (off + 2), get_u32 b (off + 6)) }
             else
-              { key = Bytes.sub_string b (off + 2) klen;
-                value = get_u32 b (off + 2 + klen);
-                big = None })
+              { key = Bytes.sub_string b (off + 2) (get_u16 b off);
+                value = cell_value b off; big = None })
       in
-      { kind; cells; link })
-  |> fun n ->
-  (* materialise spilled keys outside the pin (chain reads pin pages) *)
-  { n with
-    cells =
-      Array.map
-        (fun c ->
-          match c.big with
-          | Some bigref when c.key = "" -> { c with key = read_big t bigref }
-          | _ -> c)
-        n.cells }
+      { kind = kind b; cells; link = link b })
 
 let write_node t page n =
   Bufpool.with_page_w t.pool t.file page (fun b ->
@@ -151,25 +188,14 @@ let write_node t page n =
       let top = ref ps in
       Array.iteri
         (fun i c ->
-          let sz = cell_size c in
-          top := !top - sz;
-          let off = !top in
-          set_u16 b (hdr + (2 * i)) off;
-          match c.big with
-          | Some (total, first) ->
-            set_u16 b off 0x8000;
-            set_u32 b (off + 2) total;
-            set_u32 b (off + 6) first;
-            set_u32 b (off + 10) c.value
-          | None ->
-            set_u16 b off (String.length c.key);
-            Bytes.blit_string c.key 0 b (off + 2) (String.length c.key);
-            set_u32 b (off + 2 + String.length c.key) c.value)
+          top := !top - cell_size c;
+          set_u16 b (hdr + (2 * i)) !top;
+          put_cell b !top c)
         n.cells)
 
 let mk_cell t key value =
   if String.length key > max_inline_key then
-    { key; value; big = Some (write_big t key) }
+    { key = ""; value; big = Some (write_big t key) }
   else { key; value; big = None }
 
 (* ---- open / create ---- *)
@@ -204,44 +230,127 @@ let create pool ~path =
 let cardinal t = t.distinct
 let entry_count t = t.entries
 
-(* ---- search plumbing ---- *)
+(* ---- descent ---- *)
 
-let dec = Rowcodec.decode_string
-let cmp = Btree.compare_key
-
-let cell_cmp c k = cmp (dec c.key) k
-
-(* first cell index with cell >= k *)
-let lower_bound cells k =
-  let lo = ref 0 and hi = ref (Array.length cells) in
+(* Binary search of the pinned page's slot array: the first slot whose
+   key is >= k, or > k with [upper]. *)
+let search t b k k_enc ~upper =
+  let lo = ref 0 and hi = ref (ncells b) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if cell_cmp cells.(mid) k < 0 then lo := mid + 1 else hi := mid
+    let c = cmp_cell t b (slot b mid) k k_enc in
+    if c < 0 || (upper && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* first cell index with cell > k *)
-let upper_bound cells k =
-  let lo = ref 0 and hi = ref (Array.length cells) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cell_cmp cells.(mid) k <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+type position = {
+  leaf : int;
+  at : int;  (* slot in [leaf] *)
+  after_run : bool;  (* [upper] only: the slot before [at] holds k *)
+  path : (int * int) list;  (* internal (page, slot) passed, innermost first *)
+}
 
-(* child page for descent: [slot] children precede the chosen one *)
-let child_at n slot = if slot = 0 then n.link else n.cells.(slot - 1).value
+(* Root to leaf, following the child left of the search position at
+   each level: separators are the first key of their right subtree, so
+   a lower-bound descent lands at or before the key's run and an
+   upper-bound one just after it. *)
+let descend t k k_enc ~upper =
+  let rec go page path =
+    let at, child, after_run =
+      Bufpool.with_page t.pool t.file page (fun b ->
+          let at = search t b k k_enc ~upper in
+          if kind b = 0 then
+            (at, none32, upper && at > 0 && cmp_cell t b (slot b (at - 1)) k k_enc = 0)
+          else (at, (if at = 0 then link b else cell_value b (slot b (at - 1))), false))
+    in
+    if child = none32 then { leaf = page; at; after_run; path }
+    else go child ((page, at) :: path)
+  in
+  go t.root []
 
-let array_insert arr i x =
-  let len = Array.length arr in
-  let out = Array.make (len + 1) x in
-  Array.blit arr 0 out 0 i;
-  Array.blit arr i out (i + 1) (len - i);
-  out
+(* Leaf by leaf along k's run from a lower-bound position: [f page b i
+   e] sees the slots [i, e) of each leaf holding keys equal to k, and
+   the walk follows the next-leaf link while the run reaches a leaf's
+   end (removals can leave leaves empty). [f] may delete slots. *)
+let walk_run t k k_enc (p : position) f =
+  let rec leaf page i =
+    let next =
+      Bufpool.with_page t.pool t.file page (fun b ->
+          let n = ncells b in
+          let e = ref i in
+          while !e < n && cmp_cell t b (slot b !e) k k_enc = 0 do incr e done;
+          let next = if !e = n then link b else none32 in
+          f page b i !e;
+          next)
+    in
+    if next <> none32 then leaf next 0
+  in
+  leaf p.leaf p.at
+
+let find t k =
+  let k_enc = Rowcodec.encode k in
+  let acc = ref [] in
+  walk_run t k k_enc (descend t k k_enc ~upper:false) (fun _ b i e ->
+      for j = i to e - 1 do acc := cell_value b (slot b j) :: !acc done);
+  List.rev !acc
+
+let mem t k =
+  let k_enc = Rowcodec.encode k in
+  let p = descend t k k_enc ~upper:false in
+  (* the first cell at or after the position decides *)
+  let rec first page i =
+    match
+      Bufpool.with_page t.pool t.file page (fun b ->
+          if i < ncells b then Ok (cmp_cell t b (slot b i) k k_enc = 0)
+          else Error (link b))
+    with
+    | Ok found -> found
+    | Error next -> next <> none32 && first next 0
+  in
+  first p.leaf p.at
 
 (* ---- insert ---- *)
 
-type split = No_split | Split of cell (* separator cell: key + right page *)
+(* Add [c] at slot [i] of the pinned page if the node still fits: the
+   cell goes to the top of the free gap, compacting the cell area first
+   when holes left the gap short, and the slots from [i] shift right.
+   False, with the page untouched, when the node must split. *)
+let put_in_place b i c =
+  let n = ncells b in
+  let sz = cell_size c in
+  let low = ref ps in
+  for j = 0 to n - 1 do low := min !low (slot b j) done;
+  let room_from low = low - sz >= hdr + (2 * (n + 1)) in
+  let low =
+    if room_from !low then Some !low
+    else begin
+      let used = ref (hdr + (2 * n)) in
+      for j = 0 to n - 1 do used := !used + cell_len b (slot b j) done;
+      if !used + 2 + sz > ps then None
+      else begin
+        (* repack the cells in slot order against the page end *)
+        let src = Bytes.sub b 0 ps in
+        let top = ref ps in
+        for j = 0 to n - 1 do
+          let off = slot src j in
+          let len = cell_len src off in
+          top := !top - len;
+          Bytes.blit src off b !top len;
+          set_u16 b (hdr + (2 * j)) !top
+        done;
+        Some !top
+      end
+    end
+  in
+  match low with
+  | None -> false
+  | Some low ->
+    let off = low - sz in
+    put_cell b off c;
+    Bytes.blit b (hdr + (2 * i)) b (hdr + (2 * (i + 1))) (2 * (n - i));
+    set_u16 b (hdr + (2 * i)) off;
+    set_u16 b 2 (n + 1);
+    true
 
 let split_point cells =
   (* split index by accumulated byte size, clamped so both halves keep at
@@ -260,140 +369,98 @@ let split_point cells =
    with Exit -> ());
   max 1 (min (n - 1) !m)
 
-let rec insert_at t page k_enc k rowid depth : split =
+let array_insert arr i x =
+  let len = Array.length arr in
+  let out = Array.make (len + 1) x in
+  Array.blit arr 0 out 0 i;
+  Array.blit arr i out (i + 1) (len - i);
+  out
+
+(* A node that cannot take [c] at slot [i]: decode it, insert, cut at
+   [split_point] and write both halves packed. Returns the separator
+   cell for the parent (its value is the new right page). A leaf
+   separator shares the right head's key, and its overflow chain, which
+   is immutable once written; an internal node moves its middle
+   separator up. *)
+let split t page i c =
   let n = read_node t page in
+  let cells = array_insert n.cells i c in
+  let len = Array.length cells in
   if n.kind = 0 then begin
-    let pos = upper_bound n.cells k in
-    let cell = mk_cell t k_enc rowid in
-    let cells = array_insert n.cells pos cell in
-    let n = { n with cells } in
-    if node_size n <= ps then begin
-      write_node t page n;
-      No_split
-    end
-    else begin
-      let m = split_point cells in
-      let right_page = Bufpool.allocate t.pool t.file in
-      let left = { n with cells = Array.sub cells 0 m; link = right_page } in
-      let right =
-        { kind = 0;
-          cells = Array.sub cells m (Array.length cells - m);
-          link = n.link }
-      in
-      write_node t page left;
-      write_node t right_page right;
-      (* the separator shares the right head's key (and its overflow
-         chain, which is immutable once written) *)
-      let head = right.cells.(0) in
-      Split { key = head.key; value = right_page; big = head.big }
-    end
+    let m = split_point cells in
+    let right_page = Bufpool.allocate t.pool t.file in
+    write_node t page { n with cells = Array.sub cells 0 m; link = right_page };
+    write_node t right_page
+      { kind = 0; cells = Array.sub cells m (len - m); link = n.link };
+    { (cells.(m)) with value = right_page }
   end
   else begin
-    let slot = upper_bound n.cells k in
-    match insert_at t (child_at n slot) k_enc k rowid (depth + 1) with
-    | No_split -> No_split
-    | Split sep ->
-      let cells = array_insert n.cells slot sep in
-      let n = { n with cells } in
-      if node_size n <= ps then begin
-        write_node t page n;
-        No_split
-      end
-      else begin
-        let m = max 1 (min (Array.length cells - 2) (split_point cells)) in
-        let sep_up = cells.(m) in
-        let right_page = Bufpool.allocate t.pool t.file in
-        let left = { n with cells = Array.sub cells 0 m } in
-        let right =
-          { kind = 1;
-            cells = Array.sub cells (m + 1) (Array.length cells - m - 1);
-            link = sep_up.value }
-        in
-        write_node t page left;
-        write_node t right_page right;
-        Split { sep_up with value = right_page }
-      end
+    let m = max 1 (min (len - 2) (split_point cells)) in
+    let right_page = Bufpool.allocate t.pool t.file in
+    write_node t page { n with cells = Array.sub cells 0 m };
+    write_node t right_page
+      { kind = 1; cells = Array.sub cells (m + 1) (len - m - 1); link = cells.(m).value };
+    { (cells.(m)) with value = right_page }
   end
 
-let rec leaf_for t page k =
-  let n = read_node t page in
-  if n.kind = 0 then (page, n)
-  else leaf_for t (child_at n (lower_bound n.cells k)) k
+(* Place [c] at slot [i] of [page], splitting up the descent path as
+   far as needed; a root split grows the tree by one level. *)
+let rec place t page i c path =
+  if not (Bufpool.with_page_w t.pool t.file page (fun b -> put_in_place b i c))
+  then begin
+    let sep = split t page i c in
+    match path with
+    | (parent, j) :: up -> place t parent j sep up
+    | [] ->
+      let new_root = Bufpool.allocate t.pool t.file in
+      write_node t new_root { kind = 1; cells = [| sep |]; link = t.root };
+      t.root <- new_root;
+      t.height <- t.height + 1
+  end
 
-let mem t k =
-  let _, n0 = leaf_for t t.root k in
-  let rec look n i =
-    if i >= Array.length n.cells then
-      n.link <> none32 && look (read_node t n.link) 0
-    else
-      let c = cell_cmp n.cells.(i) k in
-      c = 0 || (c < 0 && look n (i + 1))
-  in
-  look n0 (lower_bound n0.cells k)
-
-let insert ?key_exists t k rowid =
+let insert ?(unique = false) t k rowid =
   let k_enc = Rowcodec.encode k in
-  let existed =
-    match key_exists with Some e -> e | None -> mem t k
-  in
-  (match insert_at t t.root k_enc k rowid 0 with
-   | No_split -> ()
-   | Split sep ->
-     let new_root = Bufpool.allocate t.pool t.file in
-     write_node t new_root { kind = 1; cells = [| sep |]; link = t.root };
-     t.root <- new_root;
-     t.height <- t.height + 1);
+  let p = descend t k k_enc ~upper:true in
+  (* at a leaf's first slot the key's run may end in an earlier leaf,
+     which only a lower-bound probe reaches *)
+  let existed = p.after_run || (p.at = 0 && mem t k) in
+  if unique && existed then raise (Duplicate k);
+  place t p.leaf p.at (mk_cell t k_enc rowid) p.path;
   if not existed then t.distinct <- t.distinct + 1;
   t.entries <- t.entries + 1;
   write_meta t
 
-(* ---- lookup ---- *)
-
-let find t k =
-  let _, n0 = leaf_for t t.root k in
-  let rec collect n i acc =
-    if i >= Array.length n.cells then
-      if n.link = none32 then acc else collect (read_node t n.link) 0 acc
-    else
-      let c = cell_cmp n.cells.(i) k in
-      if c < 0 then collect n (i + 1) acc
-      else if c = 0 then collect n (i + 1) (n.cells.(i).value :: acc)
-      else acc
-  in
-  List.rev (collect n0 (lower_bound n0.cells k) [])
-
 (* ---- remove ---- *)
 
+(* Delete the given slots (ascending) from the slot array; the cells
+   they pointed to become holes. *)
+let drop_slots b = function
+  | [] -> ()
+  | first :: _ as drops ->
+    let n = ncells b in
+    let w = ref first and drops = ref drops in
+    for j = first to n - 1 do
+      match !drops with
+      | d :: rest when d = j -> drops := rest
+      | _ ->
+        set_u16 b (hdr + (2 * !w)) (slot b j);
+        incr w
+    done;
+    set_u16 b 2 !w
+
 let remove t k pred =
-  let page0, n0 = leaf_for t t.root k in
+  let k_enc = Rowcodec.encode k in
   let removed = ref 0 and remaining = ref 0 in
-  let rec sweep page n start =
-    let keep = ref [] and past = ref false in
-    Array.iteri
-      (fun i c ->
-        if i < start then keep := c :: !keep
-        else if !past then keep := c :: !keep
-        else
-          let cv = cell_cmp c k in
-          if cv < 0 then keep := c :: !keep
-          else if cv > 0 then begin
-            past := true;
-            keep := c :: !keep
-          end
-          else if pred c.value then incr removed
-          else begin
-            incr remaining;
-            keep := c :: !keep
-          end)
-      n.cells;
-    let kept = Array.of_list (List.rev !keep) in
-    if Array.length kept <> Array.length n.cells then
-      write_node t page { n with cells = kept };
-    (* an equal run ends inside the first leaf whose last cell is > k *)
-    if (not !past) && n.link <> none32 then
-      sweep n.link (read_node t n.link) 0
-  in
-  sweep page0 n0 (lower_bound n0.cells k);
+  walk_run t k k_enc (descend t k k_enc ~upper:false) (fun page b i e ->
+      let drops = ref [] in
+      for j = e - 1 downto i do
+        if pred (cell_value b (slot b j)) then drops := j :: !drops
+      done;
+      let nd = List.length !drops in
+      removed := !removed + nd;
+      remaining := !remaining + (e - i - nd);
+      (* pinned already: this write pin only marks the frame dirty *)
+      if nd > 0 then Bufpool.with_page_w t.pool t.file page (fun b -> drop_slots b !drops));
   if !removed > 0 then begin
     t.entries <- t.entries - !removed;
     if !remaining = 0 then t.distinct <- t.distinct - 1;
@@ -403,8 +470,12 @@ let remove t k pred =
 (* ---- range scans ---- *)
 
 let rec leftmost t page =
-  let n = read_node t page in
-  if n.kind = 0 then (page, n) else leftmost t n.link
+  match
+    Bufpool.with_page t.pool t.file page (fun b ->
+        if kind b = 0 then none32 else link b)
+  with
+  | c when c = none32 -> page
+  | c -> leftmost t c
 
 let range ?lo ?hi t =
   let above_lo k =
@@ -423,35 +494,36 @@ let range ?lo ?hi t =
   in
   let start () =
     match lo with
-    | None -> Some (leftmost t t.root)
-    | Some (k, _) -> Some (leaf_for t t.root k)
+    | None -> (leftmost t t.root, 0)
+    | Some (k, _) ->
+      let p = descend t k (Rowcodec.encode k) ~upper:false in
+      (p.leaf, p.at)
   in
-  (* one leaf at a time: decode the qualifying cells under a single pin
-     run, emit, then chase the next-leaf link *)
-  let rec leaf_seq next () =
-    match next with
-    | None -> Seq.Nil
-    | Some (_, n) ->
-      let out = ref [] and stop = ref false in
-      Array.iter
-        (fun c ->
-          if not !stop then begin
-            let k = dec c.key in
+  (* one leaf at a time: decode the qualifying cells under a single pin,
+     emit, then chase the next-leaf link *)
+  let rec leaf_seq page i () =
+    let out, next =
+      Bufpool.with_page t.pool t.file page (fun b ->
+          let n = ncells b in
+          let out = ref [] and j = ref i and stop = ref false in
+          while (not !stop) && !j < n do
+            let off = slot b !j in
+            let k = cell_key t b off in
             if not (below_hi k) then stop := true
-            else if above_lo k then out := (k, c.value) :: !out
-          end)
-        n.cells;
-      let next' =
-        if !stop || n.link = none32 then None
-        else Some (n.link, read_node t n.link)
-      in
-      let rec emit = function
-        | [] -> leaf_seq next' ()
-        | r :: rest -> Seq.Cons (r, fun () -> emit rest)
-      in
-      emit (List.rev !out)
+            else if above_lo k then out := (k, cell_value b off) :: !out;
+            incr j
+          done;
+          (List.rev !out, if !stop then none32 else link b))
+    in
+    let rec emit = function
+      | [] -> if next = none32 then Seq.Nil else leaf_seq next 0 ()
+      | r :: rest -> Seq.Cons (r, fun () -> emit rest)
+    in
+    emit out
   in
-  fun () -> leaf_seq (start ()) ()
+  fun () ->
+    let page, i = start () in
+    leaf_seq page i ()
 
 let iter f t =
   Seq.iter (fun (k, v) -> f k v) (range t)

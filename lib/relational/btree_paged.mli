@@ -3,12 +3,20 @@
     Keys are tuples ([Value.t array]) stored Rowcodec-encoded and
     compared decoded with {!Btree.compare_key} — never byte-wise, so the
     cross-type numeric ordering of [Value.compare_total] ([Int 3] equals
-    [Float 3.]) matches the in-memory tree exactly. Duplicates are one
-    cell per (key, rowid): inserts append at the end of the equal run
+    [Float 3.]) matches the in-memory tree exactly; equal encoded bytes
+    only short-cut a comparison to "equal". Duplicates are one cell per
+    (key, rowid): inserts append at the end of the equal run
     (upper-bound descent), so per-key rowid order equals insertion order
     just like the in-memory posting lists; lookups, removals and range
     scans descend by lower bound and follow the run across leaf
     boundaries. Keys longer than ~2 KiB spill to overflow chains.
+
+    Every operation works on the bytes of the pinned page: one descent
+    binary-searches each page's slot array, decoding only the keys it
+    probes; inserts and removals edit the slot array in place. Only a
+    node that must split is decoded, cut by byte size and rewritten, so
+    split decisions, and with them page counts, depend on the cells a
+    node holds and not on the order of the edits that put them there.
 
     Like the heap files, tree pages are only trusted after a clean
     shutdown (see {!Storage}); recovery rebuilds from the WAL. *)
@@ -16,16 +24,16 @@
 type t
 
 exception Duplicate of Value.t array
-(** Raised by {!bulk_load} with [~unique:true] on adjacent equal keys. *)
+(** Raised by {!insert} and {!bulk_load} with [~unique:true] on a key
+    that is already present. *)
 
 val create : Bufpool.t -> path:string -> t
 (** Open the tree stored at [path], attaching when the file already has
     pages and initialising an empty single-leaf tree otherwise. *)
 
-val insert : ?key_exists:bool -> t -> Value.t array -> int -> unit
-(** Add (key, rowid). [key_exists] (whether the key is already present)
-    skips the extra probe that distinct-key accounting needs; callers
-    that just did a membership check pass it. *)
+val insert : ?unique:bool -> t -> Value.t array -> int -> unit
+(** Add (key, rowid) at the end of the key's run. With [unique] a
+    present key raises {!Duplicate} and leaves the tree unchanged. *)
 
 val mem : t -> Value.t array -> bool
 
@@ -33,7 +41,8 @@ val find : t -> Value.t array -> int list
 (** Rowids for the key in insertion order ([[]] when absent). *)
 
 val remove : t -> Value.t array -> (int -> bool) -> unit
-(** Drop the key's postings matching the predicate. *)
+(** Drop the key's postings matching the predicate, in one sweep of the
+    key's run. *)
 
 val range :
   ?lo:Value.t array * bool ->

@@ -87,42 +87,44 @@ let unique_violation t key =
 
 let insert t row rowid =
   let key = key_of_row t row in
-  (* key existence, without materialising the posting list (posting lists
-     can be long; bulk loads must stay linear) *)
-  let key_exists =
-    match t.impl with
-    | Hash_impl tbl -> KeyTbl.mem tbl key
-    | Btree_impl bt -> Btree.mem bt key
-    | Paged_impl bt -> Btree_paged.mem bt key
-  in
-  if t.idx_unique && key_exists then Error (unique_violation t key)
-  else begin
-    (match t.impl with
-     | Hash_impl tbl ->
-       (match KeyTbl.find_opt tbl key with
-        | Some l -> KeyTbl.replace tbl key (rowid :: l)
-        | None ->
-          KeyTbl.add tbl key [ rowid ];
-          t.distinct <- t.distinct + 1);
-       t.entries <- t.entries + 1
-     | Btree_impl bt ->
-       if not key_exists then t.distinct <- t.distinct + 1;
-       Btree.insert bt key rowid;
-       t.entries <- t.entries + 1
-     | Paged_impl bt ->
-       KeyTbl.remove t.post_cache key;
-       Btree_paged.insert ~key_exists bt key rowid);
-    Ok ()
-  end
+  match t.impl with
+  | Hash_impl tbl ->
+    (match KeyTbl.find_opt tbl key with
+     | Some _ when t.idx_unique -> Error (unique_violation t key)
+     | Some l ->
+       KeyTbl.replace tbl key (rowid :: l);
+       t.entries <- t.entries + 1;
+       Ok ()
+     | None ->
+       KeyTbl.add tbl key [ rowid ];
+       t.distinct <- t.distinct + 1;
+       t.entries <- t.entries + 1;
+       Ok ())
+  | Btree_impl bt ->
+    (* key existence, without materialising the posting list (posting
+       lists can be long; bulk loads must stay linear) *)
+    let key_exists = Btree.mem bt key in
+    if t.idx_unique && key_exists then Error (unique_violation t key)
+    else begin
+      if not key_exists then t.distinct <- t.distinct + 1;
+      Btree.insert bt key rowid;
+      t.entries <- t.entries + 1;
+      Ok ()
+    end
+  | Paged_impl bt ->
+    (* the tree learns whether the key exists on its own descent *)
+    KeyTbl.remove t.post_cache key;
+    (match Btree_paged.insert ~unique:t.idx_unique bt key rowid with
+     | () -> Ok ()
+     | exception Btree_paged.Duplicate _ -> Error (unique_violation t key))
 
-let remove t row rowid =
-  let key = key_of_row t row in
+let remove_key t key gone =
   match t.impl with
   | Hash_impl tbl ->
     (match KeyTbl.find_opt tbl key with
      | None -> ()
      | Some l ->
-       let kept = List.filter (fun id -> id <> rowid) l in
+       let kept = List.filter (fun id -> not (gone id)) l in
        t.entries <- t.entries - (List.length l - List.length kept);
        if kept = [] then begin
          KeyTbl.remove tbl key;
@@ -131,12 +133,38 @@ let remove t row rowid =
        else KeyTbl.replace tbl key kept)
   | Btree_impl bt ->
     let before = Btree.entry_count bt and dbefore = Btree.cardinal bt in
-    Btree.remove bt key (fun id -> id = rowid);
+    Btree.remove bt key gone;
     t.entries <- t.entries - (before - Btree.entry_count bt);
     t.distinct <- t.distinct - (dbefore - Btree.cardinal bt)
   | Paged_impl bt ->
     KeyTbl.remove t.post_cache key;
-    Btree_paged.remove bt key (fun id -> id = rowid)
+    Btree_paged.remove bt key gone
+
+let remove t victims =
+  (* group by key, first-seen order: each key's postings go in one
+     removal, a single sweep of its run in a paged tree *)
+  let groups = KeyTbl.create 16 and order = ref [] in
+  List.iter
+    (fun (rowid, row) ->
+      let key = key_of_row t row in
+      match KeyTbl.find_opt groups key with
+      | Some ids -> KeyTbl.replace groups key (rowid :: ids)
+      | None ->
+        KeyTbl.add groups key [ rowid ];
+        order := key :: !order)
+    victims;
+  List.iter
+    (fun key ->
+      let gone =
+        match KeyTbl.find groups key with
+        | [ id ] -> fun r -> r = id
+        | ids ->
+          let set = Hashtbl.create (List.length ids) in
+          List.iter (fun id -> Hashtbl.replace set id ()) ids;
+          Hashtbl.mem set
+      in
+      remove_key t key gone)
+    (List.rev !order)
 
 let range ?lo ?hi t =
   (* SQL comparison semantics: a NULL key component never satisfies a

@@ -136,7 +136,7 @@ let insert t row =
         (match Index.insert idx row rowid with
          | Ok () -> add_all (idx :: done_) rest
          | Error m ->
-           List.iter (fun i -> Index.remove i row rowid) done_;
+           List.iter (fun i -> Index.remove i [ (rowid, row) ]) done_;
            Error m)
     in
     (match add_all [] t.indexes with
@@ -165,20 +165,27 @@ let append_bulk t row =
      | Disk h -> ignore (Heapfile.insert h row));
     Ok rowid
 
-let delete t rowid =
+let delete_many t rowids =
   with_s t @@ fun () ->
-  match get_unlatched t rowid with
-  | None -> false
-  | Some row ->
-    List.iter (fun idx -> Index.remove idx row rowid) t.indexes;
-    (match t.store with
-     | Mem v ->
-       Vector.set v rowid None;
-       t.live <- t.live - 1
-     | Disk h ->
-       Hashtbl.remove t.row_cache rowid;
-       ignore (Heapfile.delete h rowid));
-    true
+  let victims =
+    List.filter_map
+      (fun rowid -> Option.map (fun row -> (rowid, row)) (get_unlatched t rowid))
+      rowids
+  in
+  List.iter (fun idx -> Index.remove idx victims) t.indexes;
+  List.iter
+    (fun (rowid, _) ->
+      match t.store with
+      | Mem v ->
+        Vector.set v rowid None;
+        t.live <- t.live - 1
+      | Disk h ->
+        Hashtbl.remove t.row_cache rowid;
+        ignore (Heapfile.delete h rowid))
+    victims;
+  victims
+
+let delete t rowid = delete_many t [ rowid ] <> []
 
 let undelete t rowid row =
   with_s t @@ fun () ->
@@ -212,14 +219,14 @@ let update t rowid new_row =
      | Error _ as e -> e
      | Ok () ->
        (* Remove old entries, insert new; restore on unique failure. *)
-       List.iter (fun idx -> Index.remove idx old_row rowid) t.indexes;
+       List.iter (fun idx -> Index.remove idx [ (rowid, old_row) ]) t.indexes;
        let rec add_all done_ = function
          | [] -> Ok ()
          | idx :: rest ->
            (match Index.insert idx new_row rowid with
             | Ok () -> add_all (idx :: done_) rest
             | Error m ->
-              List.iter (fun i -> Index.remove i new_row rowid) done_;
+              List.iter (fun i -> Index.remove i [ (rowid, new_row) ]) done_;
               List.iter
                 (fun i ->
                   match Index.insert i old_row rowid with

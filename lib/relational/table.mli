@@ -32,6 +32,12 @@ val delete : t -> int -> bool
 (** [delete t rowid] tombstones a row; false if already dead or out of
     range. Indexes are maintained. *)
 
+val delete_many : t -> int list -> (int * Value.t array) list
+(** Tombstone the live rows among distinct [rowids] and return them,
+    with their images, in input order; dead or unknown ids are skipped.
+    Every index removes the batch grouped by key, one sweep of each
+    key's postings however many of them go. *)
+
 val update : t -> int -> Value.t array -> (unit, string) result
 (** Replace the row image; indexes are maintained. *)
 

@@ -214,7 +214,7 @@ let plan_work t sess token kind text =
       (* DML / DDL / transaction control: statement-level locking
          serializes writers, so stay inline *)
       (render_job (`Sql stmt), Conc.Sched.Inline)
-    | exception (Rdb.Sql_parser.Parse_error _ as e) ->
+    | exception ((Rdb.Sql_parser.Parse_error _ | Rdb.Sql_lexer.Lex_error _) as e) ->
       raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
   end
   (* pure planning, never worth a dispatch *)

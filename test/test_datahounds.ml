@@ -773,6 +773,35 @@ let dump_tables wh =
          "SELECT doc_id, node_id, word FROM xml_keyword ORDER BY doc_id, \
           node_id, word" ])
 
+(* Every index's postings for every distinct key of its table, each
+   resolved to its row: index contents and posting order, where
+   [dump_tables] only sees the rows. *)
+let dump_indexes wh =
+  let cat = Rdb.Database.catalog (D.Warehouse.db wh) in
+  let row_text row = String.concat "|" (List.map Rdb.Value.to_literal (Array.to_list row)) in
+  String.concat "\n"
+    (List.concat_map
+       (fun name ->
+         let tbl = Option.get (Rdb.Catalog.find_table cat name) in
+         let rows = List.map snd (List.of_seq (Rdb.Table.scan tbl)) in
+         List.concat_map
+           (fun idx ->
+             let keys =
+               List.sort_uniq Rdb.Btree.compare_key
+                 (List.map (Rdb.Index.key_of_row idx) rows)
+             in
+             Rdb.Index.name idx
+             :: List.map
+                  (fun key ->
+                    row_text key ^ " -> "
+                    ^ String.concat " ; "
+                        (List.map
+                           (fun id -> row_text (Option.get (Rdb.Table.get tbl id)))
+                           (Rdb.Index.lookup idx key)))
+                  keys)
+           (Rdb.Table.indexes tbl))
+       D.Shred.tables)
+
 (* The in-memory backend installs a harvest one document at a time, the
    disk backend spools and bulk-loads it; a batch naming a document twice
    and a sync go per document on both. After every step the four shred
@@ -810,7 +839,9 @@ let test_mem_disk_identical () =
     let dm = dump_tables mem in
     check bool (what ^ ": tables hold rows") true (String.length dm > 0);
     check bool (what ^ ": mem and disk tables byte-identical") true
-      (dm = dump_tables disk)
+      (dm = dump_tables disk);
+    check bool (what ^ ": mem and disk index postings identical") true
+      (dump_indexes mem = dump_indexes disk)
   in
   let harvest src text wh = D.Warehouse.harvest wh src text in
   let embl = D.Warehouse.embl_source ~division:"inv" in
@@ -841,6 +872,42 @@ let test_mem_disk_identical () =
   step "sync with remove_missing" (fun wh ->
       D.Sync.sync_source ~remove_missing:true wh D.Warehouse.enzyme_source
         (Workload.Genbio.enzyme_flat u3))
+
+(* A harvest rolled back inside an open transaction: the bulk loads'
+   appended rows are tombstoned in one batch per table, and the tables
+   and every index end as if only the first source had been harvested. *)
+let test_rollback_bulk_harvest () =
+  with_temp_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let u =
+    Workload.Genbio.generate
+      { Workload.Genbio.default_config with
+        seed = 5; n_enzymes = 15; n_embl = 15; n_sprot = 5 }
+  in
+  let embl = D.Warehouse.embl_source ~division:"inv" in
+  let harvest wh src text =
+    match D.Warehouse.harvest ~analyze:false wh src text with
+    | Ok n -> check bool "harvested documents" true (n > 0)
+    | Error m -> fail m
+  in
+  let only_first = D.Warehouse.create ~data_dir:(Filename.concat dir "a") () in
+  let rolled_back = D.Warehouse.create ~data_dir:(Filename.concat dir "b") () in
+  Fun.protect
+    ~finally:(fun () -> D.Warehouse.close only_first; D.Warehouse.close rolled_back)
+  @@ fun () ->
+  List.iter
+    (fun wh -> harvest wh D.Warehouse.enzyme_source (Workload.Genbio.enzyme_flat u))
+    [ only_first; rolled_back ];
+  let db = D.Warehouse.db rolled_back in
+  check bool "disk backend" true (Rdb.Database.is_disk db);
+  ignore (Rdb.Database.exec_exn db "BEGIN");
+  harvest rolled_back embl (Workload.Genbio.embl_flat u);
+  check bool "second source visible inside the transaction" true
+    (dump_tables rolled_back <> dump_tables only_first);
+  ignore (Rdb.Database.exec_exn db "ROLLBACK");
+  check string "tables after rollback" (dump_tables only_first) (dump_tables rolled_back);
+  check string "indexes after rollback" (dump_indexes only_first)
+    (dump_indexes rolled_back)
 
 let test_remote_publish_poll () =
   with_temp_dir @@ fun dir ->
@@ -1013,5 +1080,7 @@ let () =
          Alcotest.test_case "load universe" `Quick test_load_universe ]);
       ("mem-vs-disk",
        [ Alcotest.test_case "harvests and sync byte-identical" `Quick
-           test_mem_disk_identical ]);
+           test_mem_disk_identical;
+         Alcotest.test_case "rolled-back bulk harvest" `Quick
+           test_rollback_bulk_harvest ]);
     ]

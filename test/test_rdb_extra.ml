@@ -89,7 +89,7 @@ let test_index_module () =
     (Rdb.Index.lookup idx [| Rdb.Value.Int 1; Rdb.Value.Text "x" |]);
   check int "cardinality" 2 (Rdb.Index.cardinality idx);
   check int "entries" 3 (Rdb.Index.entry_count idx);
-  Rdb.Index.remove idx (row 1 "x") 10;
+  Rdb.Index.remove idx [ (10, row 1 "x") ];
   check (list int) "after remove" [ 11 ]
     (Rdb.Index.lookup idx [| Rdb.Value.Int 1; Rdb.Value.Text "x" |]);
   (* unique index rejects duplicates *)

@@ -422,6 +422,15 @@ let test_server_basics () =
      check Alcotest.string "query error code" P.err_query code);
   check Alcotest.string "usable after error" "still here"
     (Xserver.Client.ping c "still here");
+  (* so is a SQL text the lexer rejects *)
+  (match Xserver.Client.sql c "SELECT 'abc FROM xml_doc;" with
+   | _ -> fail "unterminated literal accepted"
+   | exception Xserver.Client.Server_error (code, m) ->
+     check Alcotest.string "sql lex error code" P.err_query code;
+     check Alcotest.string "sql lex error text"
+       "SQL lex error at offset 7: unterminated string" m);
+  check Alcotest.string "usable after lex error" "still here"
+    (Xserver.Client.ping c "still here");
   (* session options shape results: xml format *)
   ignore (Xserver.Client.set_option c ~name:"format" ~value:"xml");
   let xml_body, _ = Xserver.Client.query c simple_query in
